@@ -15,42 +15,17 @@ Writes a cache-hit summary (fingerprint, counters, hit ratio) to
 
 usage: check_serve_cache.py COLD_JSON WARM_JSON [--stats OUT_JSON]
 
-Eviction mode (--eviction) instead drives a LIVE daemon that was
-started with a disk-cache cap: it submits a sequence of distinct
-configurations one at a time (so the access order is exact), then
-asserts the LRU contract:
+With --restarted, WARM_JSON instead comes from a daemon restarted on
+the same cache directory, so the warm batch must be answered from the
+disk tier alone: every run a diskHit and the fresh daemon's
+simulation count still 0.
 
-  * the daemon evicted (stats.cache.evictions > 0),
-  * the surviving <key>.json files are exactly a SUFFIX of the
-    submission order (pure LRU: whatever survives is the newest tail),
-  * the daemon's accounting (diskEntries, diskBytes) matches the
-    directory byte-for-byte, and
-  * the caps hold (diskBytes <= maxBytes, diskEntries <= maxEntries).
-
-usage: check_serve_cache.py --eviction --socket SOCK --cache-dir DIR
-                            [--jobs N] [--stats OUT_JSON]
+usage: check_serve_cache.py COLD_JSON WARM_JSON --restarted
 """
 
 import argparse
 import json
-import os
-import socket
 import sys
-
-
-def serve_request(socket_path, doc):
-    """One request/response round trip against a live daemon."""
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
-        s.connect(socket_path)
-        s.sendall(json.dumps(doc).encode())
-        s.shutdown(socket.SHUT_WR)
-        chunks = []
-        while True:
-            chunk = s.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-    return json.loads(b"".join(chunks).decode())
 
 
 def raw_result_texts(response_text):
@@ -90,116 +65,17 @@ def raw_result_texts(response_text):
         pos = i
 
 
-def run_eviction_mode(args) -> int:
-    """Drive a live capped daemon and assert the LRU eviction contract."""
-    failed = False
-
-    def check(condition, message):
-        nonlocal failed
-        if condition:
-            print(f"ok   {message}")
-        else:
-            print(f"FAIL {message}")
-            failed = True
-
-    # Submit one job per request so the daemon's access order is
-    # exactly our submission order. Distinct seeds give distinct cache
-    # keys with identical (tiny) runtimes.
-    keys = []
-    for i in range(args.jobs):
-        response = serve_request(args.socket, {
-            "type": "run",
-            "jobs": [{
-                "label": f"evict-{i}",
-                "workload": "KM",
-                "scale": 0.01,
-                "overrides": {"seed": 90000 + i},
-            }],
-        })
-        check(response.get("type") == "result",
-              f"evict-{i}: got a result response")
-        if response.get("type") != "result":
-            return 1
-        run = response["runs"][0]
-        check(run["result"]["status"] == "ok", f"evict-{i}: status ok")
-        keys.append(run["key"])
-
-    check(len(set(keys)) == len(keys), "every configuration got a "
-                                       f"distinct cache key ({len(keys)})")
-
-    stats = serve_request(args.socket, {"type": "stats"})["cache"]
-    on_disk = {
-        name[:-len(".json")]: os.path.getsize(
-            os.path.join(args.cache_dir, name))
-        for name in os.listdir(args.cache_dir)
-        if name.endswith(".json")
-    }
-
-    check(stats["evictions"] > 0,
-          f"cap forced evictions ({stats['evictions']})")
-    check(len(on_disk) == stats["diskEntries"],
-          f"directory entry count matches stats ({len(on_disk)})")
-    check(sum(on_disk.values()) == stats["diskBytes"],
-          f"directory byte total matches stats ({stats['diskBytes']})")
-    if stats["maxBytes"]:
-        check(stats["diskBytes"] <= stats["maxBytes"],
-              f"byte cap holds ({stats['diskBytes']} <= "
-              f"{stats['maxBytes']})")
-    if stats["maxEntries"]:
-        check(stats["diskEntries"] <= stats["maxEntries"],
-              f"entry cap holds ({stats['diskEntries']} <= "
-              f"{stats['maxEntries']})")
-
-    # Pure LRU: the survivors must be exactly the newest tail of the
-    # submission order — an eviction policy that skipped an older key
-    # or dropped a newer one fails here.
-    survivors = [k for k in keys if k in on_disk]
-    tail = keys[len(keys) - len(survivors):]
-    check(survivors == tail,
-          f"survivors are the newest suffix of the access order "
-          f"({len(survivors)}/{len(keys)})")
-    check(set(on_disk) <= set(keys),
-          "no unexplained files in the cache directory")
-
-    if args.stats:
-        summary = {
-            "jobs": args.jobs,
-            "keys": keys,
-            "survivors": survivors,
-            "cache": stats,
-        }
-        with open(args.stats, "w") as f:
-            json.dump(summary, f, indent=2)
-            f.write("\n")
-        print(f"wrote {args.stats}")
-
-    return 1 if failed else 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("cold", nargs="?")
-    parser.add_argument("warm", nargs="?")
+    parser.add_argument("cold")
+    parser.add_argument("warm")
     parser.add_argument("--stats", help="write a cache-hit summary here")
-    parser.add_argument("--eviction", action="store_true",
-                        help="drive a live capped daemon and assert "
-                             "the LRU eviction contract")
-    parser.add_argument("--socket", help="eviction mode: daemon socket")
-    parser.add_argument("--cache-dir",
-                        help="eviction mode: daemon cache directory")
-    parser.add_argument("--jobs", type=int, default=12,
-                        help="eviction mode: configurations to submit")
+    parser.add_argument("--restarted", action="store_true",
+                        help="WARM_JSON came from a daemon restarted on "
+                             "the cache directory: require all diskHits")
     args = parser.parse_args()
-
-    if args.eviction:
-        if not args.socket or not args.cache_dir:
-            parser.error("--eviction requires --socket and --cache-dir")
-        return run_eviction_mode(args)
-    if not args.cold or not args.warm:
-        parser.error("COLD_JSON and WARM_JSON are required "
-                     "(or use --eviction)")
 
     with open(args.cold) as f:
         cold_text = f.read()
@@ -234,9 +110,18 @@ def main() -> int:
         check(w["result"]["status"] == "ok", f"{label}: status ok")
         check(w["cached"], f"{label}: warm run served from cache")
 
-    check(warm["simulations"] == cold["simulations"],
-          f"zero re-simulation on the warm batch "
-          f"(simulations stayed at {cold['simulations']})")
+    if args.restarted:
+        check(warm["cache"]["diskHits"] == len(warm_runs) and
+              warm["cache"]["memoryHits"] == 0,
+              f"restarted daemon answered every run from disk "
+              f"({warm['cache']['diskHits']} diskHits)")
+        check(warm["simulations"] == 0,
+              f"zero simulation on the restarted daemon "
+              f"({warm['simulations']})")
+    else:
+        check(warm["simulations"] == cold["simulations"],
+              f"zero re-simulation on the warm batch "
+              f"(simulations stayed at {cold['simulations']})")
 
     cold_raw = raw_result_texts(cold_text)
     warm_raw = raw_result_texts(warm_text)

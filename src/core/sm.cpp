@@ -427,8 +427,14 @@ Sm::onLoadComplete(WarpId warp_id, int dst_reg, Cycle now)
     warp.regReadyAt[static_cast<std::size_t>(dst_reg)] = now;
     assert(warp.outstandingLoads > 0);
     --warp.outstandingLoads;
-    readyMemo_[static_cast<std::size_t>(warp_id)].valid = false;
-    setScanBit(warp_id); // the load wait (if any) just resolved
+    WarpReadyMemo& memo = readyMemo_[static_cast<std::size_t>(warp_id)];
+    memo.valid = false;
+    // The load wait (if any) just resolved. A warp that retired with
+    // the load in flight, or is parked at a barrier, stays out of the
+    // ready scan: re-arming it would issue its exit a second time, or
+    // let it run past the barrier before the block releases.
+    if (!memo.inactive)
+        setScanBit(warp_id);
     readyClean_ = false; // the warp may be issueable again
 }
 
@@ -465,6 +471,17 @@ std::string
 Sm::auditInvariants(Cycle now) const
 {
     std::ostringstream out;
+
+    // Warp conservation: the O(1) done() counter equals the warps not
+    // yet finished. A warp that retires twice drives it below the
+    // true count (and eventually below zero), and done() never holds.
+    int unfinished = 0;
+    for (const WarpRuntime& warp : warps)
+        unfinished += warp.finished ? 0 : 1;
+    if (unfinishedWarps_ != unfinished) {
+        out << "sm" << smId << ": unfinishedWarps=" << unfinishedWarps_
+            << " but " << unfinished << " warp(s) not finished\n";
+    }
 
     // Scoreboard: registers pinned at kNeverReady are exactly the
     // destinations of loads in flight.

@@ -258,6 +258,20 @@ class Sm final : public SmContext,
         readyWakeAt_ = fake_wake;
     }
 
+    /**
+     * TEST HOOK: put @p warp back into the ready scan whatever its
+     * state, as a load completion did before it learned to skip
+     * retired and parked warps. Lets a test prove the auditor's
+     * warp-conservation check catches a double retire; never call
+     * outside tests.
+     */
+    void debugRearmWarp(WarpId warp)
+    {
+        readyMemo_[static_cast<std::size_t>(warp)].valid = false;
+        setScanBit(static_cast<int>(warp));
+        readyClean_ = false;
+    }
+
   private:
     void collectReady(Cycle now, std::vector<WarpId>& out);
     bool warpReady(const WarpRuntime& warp, Cycle now) const;

@@ -6,7 +6,7 @@
  * A bin names one observable regime of the simulated machine — "the
  * SAP stride detector mismatched ~2^6 times under the tiny-L1 probe",
  * "the load-to-use histogram's 4th bucket is populated", "LAWS
- * demoted groups at all". The taxonomy (DESIGN.md §17) is built from
+ * demoted groups at all". The taxonomy (DESIGN.md §16) is built from
  * observation surfaces that already exist:
  *
  *  - policy counters (laws.*, sap.*, ccws.*, ...) and the structural

@@ -99,7 +99,7 @@ class Explorer
   public:
     explicit Explorer(ExploreOptions options);
 
-    /** The built-in probe set (see DESIGN.md §17). */
+    /** The built-in probe set (see DESIGN.md §16). */
     static std::vector<ProbeConfig> defaultProbes();
 
     /**

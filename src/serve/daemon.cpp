@@ -1,15 +1,15 @@
 /**
  * @file
- * Daemon implementation: overload-controlled socket plumbing (bounded
- * admission queue, dispatcher pool, deadlines, typed sheds) + batch
- * handling over the result cache and the sweep worker pool.
+ * Daemon implementation: a single-threaded socket loop with I/O
+ * deadlines + batch handling over the result cache and the sweep
+ * worker pool.
  */
 
 #include "daemon.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
-#include <random>
 #include <sstream>
 #include <vector>
 
@@ -19,9 +19,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "common/fault_inject.hpp"
 #include "common/json.hpp"
-#include "common/json_value.hpp"
 #include "common/log.hpp"
 #include "common/sim_error.hpp"
 #include "isa/kernel_text.hpp"
@@ -55,100 +53,59 @@ socketAddress(const std::string& path)
     return addr;
 }
 
-/** Client side: read until EOF (the peer shut down its write side). */
-std::string
-readAll(int fd)
-{
-    std::string out;
-    char buf[16384];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof buf);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throwErrno("read");
-        }
-        if (n == 0)
-            return out;
-        out.append(buf, static_cast<std::size_t>(n));
-    }
-}
+enum class IoOutcome { kOk, kTooLarge, kTimeout, kError };
 
 /**
- * Write all of @p text. MSG_NOSIGNAL: a peer that hung up turns into
- * an EPIPE error instead of a process-killing SIGPIPE.
+ * Arm SO_RCVTIMEO/SO_SNDTIMEO with the time left until @p deadline.
+ * False once the deadline has passed. A zero @p timeout_ms means no
+ * deadline: nothing is armed.
  */
-void
-writeAll(int fd, const std::string& text)
+bool
+armDeadline(int fd, int option, std::uint64_t timeout_ms,
+            Clock::time_point deadline)
 {
-    std::size_t off = 0;
-    while (off < text.size()) {
-        const ssize_t n = ::send(fd, text.data() + off,
-                                 text.size() - off, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throwErrno("write");
-        }
-        off += static_cast<std::size_t>(n);
-    }
-}
-
-/** Arm SO_RCVTIMEO/SO_SNDTIMEO for the next blocking call. */
-void
-armSocketTimeout(int fd, int option, std::uint64_t ms)
-{
+    if (timeout_ms == 0)
+        return true;
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        deadline - Clock::now())
+                        .count();
+    if (ms <= 0)
+        return false;
     timeval tv{};
     tv.tv_sec = static_cast<time_t>(ms / 1000);
     tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
     ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof tv);
+    return true;
 }
 
-enum class ReadOutcome { kOk, kTooLarge, kTimeout, kError };
-
 /**
- * Daemon side: read one request to EOF under a total deadline and a
- * size limit. An oversized request keeps being drained (discarded)
- * until EOF so the client can finish writing and still receive the
- * typed reject, but nothing past the limit is buffered.
+ * Read to EOF (the peer shut down its write side) under a total
+ * deadline and a size limit. An oversized request keeps being drained
+ * (discarded) until EOF so the client can finish writing and still
+ * receive the typed reject, but nothing past the limit is buffered.
  */
-ReadOutcome
-readRequest(int fd, std::uint64_t max_bytes, std::uint64_t timeout_ms,
-            std::string* out, int* err_out)
+IoOutcome
+readToEof(int fd, std::uint64_t max_bytes, std::uint64_t timeout_ms,
+          std::string* out, int* err_out)
 {
-    *err_out = 0;
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(timeout_ms);
     bool too_large = false;
     char buf[16384];
     for (;;) {
-        if (const int injected = faultInjectAt("socket.read")) {
-            *err_out = injected;
-            return injected == EAGAIN ? ReadOutcome::kTimeout
-                                      : ReadOutcome::kError;
-        }
-        if (timeout_ms > 0) {
-            const auto remaining =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - Clock::now())
-                    .count();
-            if (remaining <= 0)
-                return ReadOutcome::kTimeout;
-            armSocketTimeout(
-                fd, SO_RCVTIMEO,
-                static_cast<std::uint64_t>(remaining));
-        }
+        if (!armDeadline(fd, SO_RCVTIMEO, timeout_ms, deadline))
+            return IoOutcome::kTimeout;
         const ssize_t n = ::read(fd, buf, sizeof buf);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
             if (errno == EAGAIN || errno == EWOULDBLOCK)
-                return ReadOutcome::kTimeout;
+                return IoOutcome::kTimeout;
             *err_out = errno;
-            return ReadOutcome::kError;
+            return IoOutcome::kError;
         }
         if (n == 0)
-            return too_large ? ReadOutcome::kTooLarge : ReadOutcome::kOk;
+            return too_large ? IoOutcome::kTooLarge : IoOutcome::kOk;
         if (!too_large) {
             out->append(buf, static_cast<std::size_t>(n));
             if (out->size() > max_bytes) {
@@ -160,47 +117,33 @@ readRequest(int fd, std::uint64_t max_bytes, std::uint64_t timeout_ms,
 }
 
 /**
- * Daemon side: write one response under a total deadline. Returns
- * kOk, kTimeout or kError (the connection is torn down either way).
+ * Write all of @p text under a total deadline. MSG_NOSIGNAL: a peer
+ * that hung up turns into an EPIPE error instead of a process-killing
+ * SIGPIPE.
  */
-ReadOutcome
-writeResponse(int fd, const std::string& text, std::uint64_t timeout_ms,
-              int* err_out)
+IoOutcome
+writeFully(int fd, const std::string& text, std::uint64_t timeout_ms,
+           int* err_out)
 {
-    *err_out = 0;
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(timeout_ms);
     std::size_t off = 0;
     while (off < text.size()) {
-        if (const int injected = faultInjectAt("socket.write")) {
-            *err_out = injected;
-            return injected == EAGAIN ? ReadOutcome::kTimeout
-                                      : ReadOutcome::kError;
-        }
-        if (timeout_ms > 0) {
-            const auto remaining =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - Clock::now())
-                    .count();
-            if (remaining <= 0)
-                return ReadOutcome::kTimeout;
-            armSocketTimeout(
-                fd, SO_SNDTIMEO,
-                static_cast<std::uint64_t>(remaining));
-        }
+        if (!armDeadline(fd, SO_SNDTIMEO, timeout_ms, deadline))
+            return IoOutcome::kTimeout;
         const ssize_t n = ::send(fd, text.data() + off,
                                  text.size() - off, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
             if (errno == EAGAIN || errno == EWOULDBLOCK)
-                return ReadOutcome::kTimeout;
+                return IoOutcome::kTimeout;
             *err_out = errno;
-            return ReadOutcome::kError;
+            return IoOutcome::kError;
         }
         off += static_cast<std::size_t>(n);
     }
-    return ReadOutcome::kOk;
+    return IoOutcome::kOk;
 }
 
 bool
@@ -225,8 +168,7 @@ ServeDaemon::ServeDaemon(ServeOptions options)
     : opts_(std::move(options)),
       fingerprint_(opts_.fingerprint.empty() ? serveFingerprint()
                                              : opts_.fingerprint),
-      cache_(opts_.cacheDir,
-             CacheLimits{opts_.cacheMaxBytes, opts_.cacheMaxEntries})
+      cache_(opts_.cacheDir)
 {
 }
 
@@ -268,40 +210,15 @@ ServeDaemon::start()
     }
 
     stopRequested_.store(false);
-    {
-        const std::lock_guard<std::mutex> lock(qmu_);
-        queueClosed_ = false;
-    }
     running_.store(true);
-    const int dispatchers = std::max(1, opts_.dispatchThreads);
-    dispatchers_.reserve(static_cast<std::size_t>(dispatchers));
-    for (int i = 0; i < dispatchers; ++i)
-        dispatchers_.emplace_back([this] { dispatchLoop(); });
-    loop_ = std::thread([this] { acceptLoop(); });
-}
-
-void
-ServeDaemon::joinAll()
-{
-    if (loop_.joinable())
-        loop_.join();
-    {
-        const std::lock_guard<std::mutex> lock(qmu_);
-        queueClosed_ = true;
-    }
-    qcv_.notify_all();
-    for (std::thread& t : dispatchers_) {
-        if (t.joinable())
-            t.join();
-    }
-    dispatchers_.clear();
+    loop_ = std::thread([this] { serveLoop(); });
 }
 
 void
 ServeDaemon::stop()
 {
     stopRequested_.store(true);
-    joinAll();
+    wait();
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
@@ -313,63 +230,12 @@ ServeDaemon::stop()
 void
 ServeDaemon::wait()
 {
-    joinAll();
-}
-
-std::uint64_t
-ServeDaemon::retryHintMs() const
-{
-    std::size_t backlog;
-    {
-        const std::lock_guard<std::mutex> lock(qmu_);
-        backlog = queue_.size();
-    }
-    const std::uint64_t hint =
-        opts_.retryAfterMs * (1 + static_cast<std::uint64_t>(backlog));
-    return std::min<std::uint64_t>(hint, 30000);
+    if (loop_.joinable())
+        loop_.join();
 }
 
 void
-ServeDaemon::shedConnection(int fd, const char* reason)
-{
-    const std::string response =
-        overloadedResponse(reason, retryHintMs());
-    int err = 0;
-    // Short deadline: a shed exists to protect the daemon; a client
-    // too slow to take the hint is not worth waiting for.
-    const std::uint64_t deadline_ms =
-        opts_.ioTimeoutMs > 0 ? std::min<std::uint64_t>(
-                                    opts_.ioTimeoutMs, 1000)
-                              : 1000;
-    (void)writeResponse(fd, response, deadline_ms, &err);
-    ::shutdown(fd, SHUT_WR);
-    // Drain (discard) whatever request the client is still writing so
-    // it never sees EPIPE before it can read the shed document; the
-    // same deadline bounds a client that never finishes.
-    const Clock::time_point drain_deadline =
-        Clock::now() + std::chrono::milliseconds(deadline_ms);
-    char scratch[4096];
-    for (;;) {
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                drain_deadline - Clock::now())
-                .count();
-        if (remaining <= 0)
-            break;
-        armSocketTimeout(fd, SO_RCVTIMEO,
-                         static_cast<std::uint64_t>(remaining));
-        const ssize_t n = ::read(fd, scratch, sizeof scratch);
-        if (n > 0)
-            continue;
-        if (n < 0 && errno == EINTR)
-            continue;
-        break; // EOF, timeout or error: done either way
-    }
-    ::close(fd);
-}
-
-void
-ServeDaemon::acceptLoop()
+ServeDaemon::serveLoop()
 {
     // EMFILE/ENFILE backoff state: fd exhaustion is an environmental
     // episode, not a per-iteration event — log it once and nap with
@@ -391,14 +257,9 @@ ServeDaemon::acceptLoop()
         if (ready == 0)
             continue;
 
-        int err = faultInjectAt("socket.accept");
-        int fd = -1;
-        if (err == 0) {
-            fd = ::accept(listenFd_, nullptr, nullptr);
-            if (fd < 0)
-                err = errno;
-        }
+        const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0) {
+            const int err = errno;
             if (err == EINTR)
                 continue;
             if (err == EMFILE || err == ENFILE || err == ENOMEM ||
@@ -430,73 +291,11 @@ ServeDaemon::acceptLoop()
         fdBackoffMs = 0;
         fdEpisodeLogged = false;
 
-        // Admission control: a full queue sheds immediately with a
-        // typed response instead of queueing without bound.
-        bool admitted = false;
-        {
-            const std::lock_guard<std::mutex> lock(qmu_);
-            if (static_cast<int>(queue_.size()) <
-                std::max(1, opts_.queueDepth)) {
-                queue_.push_back({fd, Clock::now()});
-                admitted = true;
-            }
-        }
-        if (admitted) {
-            qcv_.notify_one();
-        } else {
-            shedQueueFull_.fetch_add(1, std::memory_order_relaxed);
-            shedConnection(fd, "queueFull");
-        }
-    }
-    {
-        const std::lock_guard<std::mutex> lock(qmu_);
-        queueClosed_ = true;
-    }
-    qcv_.notify_all();
-    running_.store(false);
-}
-
-void
-ServeDaemon::dispatchLoop()
-{
-    for (;;) {
-        PendingConn conn;
-        bool closed = false;
-        {
-            std::unique_lock<std::mutex> lk(qmu_);
-            qcv_.wait(lk, [this] {
-                return queueClosed_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return; // closed and drained
-            conn = queue_.front();
-            queue_.pop_front();
-            closed = queueClosed_;
-        }
-        if (closed) {
-            // Shutting down: shed the backlog instead of serving it —
-            // a queued simulation batch could hold the stop for
-            // minutes.
-            shedShutdown_.fetch_add(1, std::memory_order_relaxed);
-            shedConnection(conn.fd, "shutdown");
-            continue;
-        }
-        if (opts_.requestDeadlineMs > 0) {
-            const auto waited =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    Clock::now() - conn.enqueuedAt)
-                    .count();
-            if (waited > static_cast<long long>(
-                             opts_.requestDeadlineMs)) {
-                shedDeadline_.fetch_add(1, std::memory_order_relaxed);
-                shedConnection(conn.fd, "deadline");
-                continue;
-            }
-        }
-        handleConnection(conn.fd);
-        ::close(conn.fd);
+        handleConnection(fd);
+        ::close(fd);
         requestsServed_.fetch_add(1, std::memory_order_relaxed);
     }
+    running_.store(false);
 }
 
 void
@@ -506,26 +305,26 @@ ServeDaemon::handleConnection(int fd)
     try {
         std::string request;
         int err = 0;
-        switch (readRequest(fd, opts_.maxRequestBytes, opts_.ioTimeoutMs,
-                            &request, &err)) {
-          case ReadOutcome::kOk:
+        switch (readToEof(fd, opts_.maxRequestBytes, opts_.ioTimeoutMs,
+                          &request, &err)) {
+          case IoOutcome::kOk:
             response = handleRequest(request);
             break;
-          case ReadOutcome::kTooLarge:
+          case IoOutcome::kTooLarge:
             rejectedOversize_.fetch_add(1, std::memory_order_relaxed);
             response = errorResponse(
                 "RequestTooLarge",
-                "request exceeds serve.maxRequestBytes = " +
+                "request exceeds maxRequestBytes = " +
                     std::to_string(opts_.maxRequestBytes) + " bytes");
             break;
-          case ReadOutcome::kTimeout:
+          case IoOutcome::kTimeout:
             ioTimeouts_.fetch_add(1, std::memory_order_relaxed);
             response = errorResponse(
                 "Timeout",
-                "request not complete within serve.ioTimeoutMs = " +
+                "request not complete within ioTimeoutMs = " +
                     std::to_string(opts_.ioTimeoutMs) + " ms");
             break;
-          case ReadOutcome::kError:
+          case IoOutcome::kError:
             logWarn("apres_serve: request read failed: ",
                     std::strerror(err));
             response = errorResponse("InternalError",
@@ -540,10 +339,10 @@ ServeDaemon::handleConnection(int fd)
     }
 
     int err = 0;
-    switch (writeResponse(fd, response, opts_.ioTimeoutMs, &err)) {
-      case ReadOutcome::kOk:
+    switch (writeFully(fd, response, opts_.ioTimeoutMs, &err)) {
+      case IoOutcome::kOk:
         break;
-      case ReadOutcome::kTimeout:
+      case IoOutcome::kTimeout:
         ioTimeouts_.fetch_add(1, std::memory_order_relaxed);
         logWarn("apres_serve: response write timed out; client too "
                 "slow or gone");
@@ -560,9 +359,6 @@ ServeDaemon::loadStats() const
 {
     ServeLoadStats s;
     s.requestsServed = requestsServed_.load(std::memory_order_relaxed);
-    s.shedQueueFull = shedQueueFull_.load(std::memory_order_relaxed);
-    s.shedDeadline = shedDeadline_.load(std::memory_order_relaxed);
-    s.shedShutdown = shedShutdown_.load(std::memory_order_relaxed);
     s.rejectedOversize =
         rejectedOversize_.load(std::memory_order_relaxed);
     s.ioTimeouts = ioTimeouts_.load(std::memory_order_relaxed);
@@ -605,34 +401,13 @@ ServeDaemon::handleRequest(const std::string& request_json)
         json.field("invalidDiskEntries", stats.invalidDiskEntries);
         json.field("memoryEntries",
                    static_cast<std::uint64_t>(cache_.memoryEntries()));
-        json.field("evictions", stats.evictions);
-        json.field("evictedBytes", stats.evictedBytes);
         json.field("writeFailures", stats.writeFailures);
         json.field("fsyncFailures", stats.fsyncFailures);
         json.field("renameFailures", stats.renameFailures);
         json.field("scrubOrphanTmps", stats.scrubOrphanTmps);
-        json.field("scrubCorruptEntries", stats.scrubCorruptEntries);
-        json.field("degradations", stats.degradations);
-        json.field("storesSkippedDegraded",
-                   stats.storesSkippedDegraded);
-        json.field("diskEntries",
-                   static_cast<std::uint64_t>(cache_.diskEntries()));
-        json.field("diskBytes", cache_.diskBytes());
-        json.field("diskMode", cacheDiskModeName(cache_.diskMode()));
-        json.field("maxBytes", opts_.cacheMaxBytes);
-        json.field("maxEntries", opts_.cacheMaxEntries);
         json.endObject();
         json.beginObject("server");
-        json.field("queueDepth",
-                   static_cast<std::uint64_t>(
-                       std::max(1, opts_.queueDepth)));
-        json.field("dispatchThreads",
-                   static_cast<std::uint64_t>(
-                       std::max(1, opts_.dispatchThreads)));
         json.field("requestsServed", load.requestsServed);
-        json.field("shedQueueFull", load.shedQueueFull);
-        json.field("shedDeadline", load.shedDeadline);
-        json.field("shedShutdown", load.shedShutdown);
         json.field("rejectedOversize", load.rejectedOversize);
         json.field("ioTimeouts", load.ioTimeouts);
         json.field("acceptBackoffs", load.acceptBackoffs);
@@ -777,96 +552,22 @@ serveRoundTrip(const std::string& socket_path,
         errno = saved;
         throwErrno("connect " + socket_path);
     }
-    try {
-        writeAll(fd, request_json);
-        if (::shutdown(fd, SHUT_WR) != 0)
-            throwErrno("shutdown");
-        std::string response = readAll(fd);
-        ::close(fd);
-        return response;
-    } catch (...) {
-        ::close(fd);
-        throw;
-    }
-}
-
-namespace {
-
-/** Is @p response a typed overloaded shed? Extracts retryAfterMs. */
-bool
-isOverloadedResponse(const std::string& response,
-                     std::uint64_t* retry_after_ms)
-{
-    *retry_after_ms = 0;
-    try {
-        const JsonValue doc = JsonValue::parse(response);
-        if (!doc.isObject() ||
-            doc.at("type").asString() != "overloaded") {
-            return false;
-        }
-        if (const JsonValue* hint = doc.find("retryAfterMs"))
-            *retry_after_ms = hint->asUint64();
-        return true;
-    } catch (const SimError&) {
-        return false;
-    }
-}
-
-} // namespace
-
-std::string
-serveRoundTripWithRetry(const std::string& socket_path,
-                        const std::string& request_json,
-                        const ServeRetryPolicy& policy,
-                        int* attempts_out)
-{
-    std::uint64_t seed = policy.seed;
-    if (seed == 0) {
-        seed = static_cast<std::uint64_t>(::getpid()) ^
-               static_cast<std::uint64_t>(
-                   Clock::now().time_since_epoch().count());
-    }
-    std::minstd_rand rng(
-        static_cast<std::uint32_t>(seed ^ (seed >> 32)) | 1u);
-
+    int err = 0;
+    const char* failed = nullptr;
     std::string response;
-    int attempts = 0;
-    for (int attempt = 0;; ++attempt) {
-        ++attempts;
-        bool transport_failed = false;
-        std::uint64_t hint_ms = 0;
-        try {
-            response = serveRoundTrip(socket_path, request_json);
-        } catch (const SimError&) {
-            // Daemon restarting or socket not up yet: retryable.
-            if (attempt >= policy.budget) {
-                if (attempts_out)
-                    *attempts_out = attempts;
-                throw;
-            }
-            transport_failed = true;
-        }
-        if (!transport_failed) {
-            if (!isOverloadedResponse(response, &hint_ms))
-                break; // a real answer (result, error, pong, ...)
-            if (attempt >= policy.budget)
-                break; // budget exhausted; caller sees the shed
-        }
-
-        // Jittered exponential backoff, floored by the daemon's hint:
-        // full-jitter on [delay/2, delay] decorrelates a thundering
-        // herd of clients all shed at the same instant.
-        const int shift = std::min(attempt, 20);
-        std::uint64_t delay = std::max<std::uint64_t>(policy.baseMs, 1)
-                              << shift;
-        delay = std::min(delay, std::max<std::uint64_t>(policy.maxMs, 1));
-        const std::uint64_t jittered =
-            delay / 2 + rng() % (delay / 2 + 1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::max(jittered, hint_ms)));
+    if (writeFully(fd, request_json, 0, &err) != IoOutcome::kOk)
+        failed = "write";
+    else if (::shutdown(fd, SHUT_WR) != 0) {
+        err = errno;
+        failed = "shutdown";
+    } else if (readToEof(fd, UINT64_MAX, 0, &response, &err) !=
+               IoOutcome::kOk)
+        failed = "read";
+    ::close(fd);
+    if (failed) {
+        errno = err;
+        throwErrno(failed);
     }
-    if (attempts_out)
-        *attempts_out = attempts;
     return response;
 }
 

@@ -194,21 +194,6 @@ errorResponse(const std::string& kind, const std::string& detail)
 }
 
 std::string
-overloadedResponse(const std::string& reason,
-                   std::uint64_t retry_after_ms)
-{
-    std::ostringstream os;
-    JsonWriter json(os);
-    json.beginObject();
-    json.field("type", "overloaded");
-    json.field("reason", reason);
-    json.field("retryAfterMs", retry_after_ms);
-    json.endObject();
-    json.finish();
-    return os.str();
-}
-
-std::string
 serializeRunResult(const RunResult& r)
 {
     std::ostringstream os;

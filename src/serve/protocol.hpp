@@ -43,20 +43,9 @@
  * Only status=="ok" results are cached: errors and timeouts are
  * environmental or diagnostic, and re-running them is the point.
  *
- * Overload control: a daemon whose bounded admission queue is full,
- * or that picks a request off the queue after its queue-wait deadline
- * expired, answers with a typed shed document instead of queueing
- * silently:
- *
- *   {"type": "overloaded", "reason": "queueFull" | "deadline" |
- *    "shutdown", "retryAfterMs": 500}
- *
- * retryAfterMs is the daemon's backlog-scaled hint; well-behaved
- * clients (apres_sim --connect, serveRoundTripWithRetry) honor it as
- * a lower bound on their jittered exponential backoff. Oversized
- * requests (serve.maxRequestBytes) are rejected with
+ * Oversized requests (maxRequestBytes) are rejected with
  * {"type":"error","kind":"RequestTooLarge",...} and slow or half-open
- * clients are cut off by the socket deadlines (serve.ioTimeoutMs).
+ * clients are cut off by the socket deadlines (ioTimeoutMs).
  */
 
 #ifndef APRES_SERVE_PROTOCOL_HPP
@@ -148,14 +137,6 @@ std::string serializeRunResult(const RunResult& result);
 /** {"type":"error","kind":...,"detail":...} */
 std::string errorResponse(const std::string& kind,
                           const std::string& detail);
-
-/**
- * The typed shed document: {"type":"overloaded","reason":...,
- * "retryAfterMs":...}. @p reason is "queueFull", "deadline" or
- * "shutdown".
- */
-std::string overloadedResponse(const std::string& reason,
-                               std::uint64_t retry_after_ms);
 
 } // namespace apres
 

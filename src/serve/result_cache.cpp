@@ -1,24 +1,19 @@
 /**
  * @file
- * Result-cache implementation: bounded LRU disk tier with a crash-safe
- * journal, startup scrub and a one-way degradation ladder.
+ * Result-cache implementation: memory map over a crash-safe directory
+ * of validated JSON entries.
  */
 
 #include "result_cache.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
-#include <vector>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "common/fault_inject.hpp"
 #include "common/json_value.hpp"
 #include "common/log.hpp"
 #include "common/sim_error.hpp"
@@ -28,19 +23,6 @@ namespace apres {
 namespace fs = std::filesystem;
 
 namespace {
-
-/** Key of an entry file name ("<key>.json"), or empty. */
-std::string
-entryKey(const std::string& filename)
-{
-    const std::string suffix = ".json";
-    if (filename.size() <= suffix.size() ||
-        filename.compare(filename.size() - suffix.size(), suffix.size(),
-                         suffix) != 0) {
-        return "";
-    }
-    return filename.substr(0, filename.size() - suffix.size());
-}
 
 /** A non-empty, well-formed JSON document? */
 bool
@@ -58,241 +40,40 @@ validPayload(const std::string& payload)
 
 } // namespace
 
-const char*
-cacheDiskModeName(CacheDiskMode mode)
+ResultCache::ResultCache(std::string disk_dir)
+    : diskDir_(std::move(disk_dir))
 {
-    switch (mode) {
-      case CacheDiskMode::kReadWrite: return "readWrite";
-      case CacheDiskMode::kReadOnly: return "readOnly";
-      case CacheDiskMode::kMemoryOnly: return "memoryOnly";
-    }
-    return "unknown";
-}
-
-ResultCache::ResultCache(std::string disk_dir, CacheLimits limits)
-    : diskDir_(std::move(disk_dir)), limits_(limits)
-{
-    if (diskDir_.empty()) {
-        mode_ = CacheDiskMode::kMemoryOnly;
+    if (diskDir_.empty())
         return;
-    }
     std::error_code ec;
     fs::create_directories(diskDir_, ec);
     if (ec) {
         throwConfigError("result cache: cannot create directory \"" +
                          diskDir_ + "\": " + ec.message());
     }
-    const std::lock_guard<std::mutex> lock(mu_);
-    scrubLocked();
-}
-
-ResultCache::~ResultCache()
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (mode_ == CacheDiskMode::kReadWrite)
-        persistJournalLocked();
+    // A writer that crashed between open and rename left a "*.tmp.*"
+    // file behind; it was never published, so it can only be removed.
+    for (const auto& dirent : fs::directory_iterator(diskDir_, ec)) {
+        const std::string name = dirent.path().filename().string();
+        if (!dirent.is_regular_file() ||
+            name.find(".tmp.") == std::string::npos) {
+            continue;
+        }
+        std::error_code rm;
+        fs::remove(dirent.path(), rm);
+        ++stats_.scrubOrphanTmps;
+        logWarn("result cache: removed orphan temp file ", name);
+    }
+    if (ec) {
+        logWarn("result cache: cannot scan ", diskDir_, ": ",
+                ec.message());
+    }
 }
 
 std::string
 ResultCache::diskPath(const std::string& key) const
 {
     return diskDir_ + "/" + key + ".json";
-}
-
-std::string
-ResultCache::journalPath() const
-{
-    return diskDir_ + "/journal.lru";
-}
-
-void
-ResultCache::scrubLocked()
-{
-    // Pass 1: walk the directory. Crashed writers leave "*.tmp.*"
-    // files (the rename never happened) and possibly nothing else;
-    // torn filesystems leave zero-length or truncated entries. All of
-    // them are repaired away here, before anything can be served.
-    std::vector<std::pair<fs::file_time_type, std::string>> unjournaled;
-    std::unordered_map<std::string, std::uint64_t> found;
-    std::error_code ec;
-    for (const auto& dirent : fs::directory_iterator(diskDir_, ec)) {
-        if (!dirent.is_regular_file())
-            continue;
-        const std::string name = dirent.path().filename().string();
-        if (name == "journal.lru" || name == "journal.lru.tmp")
-            continue;
-        if (name.find(".tmp.") != std::string::npos) {
-            std::error_code rm;
-            fs::remove(dirent.path(), rm);
-            ++stats_.scrubOrphanTmps;
-            logWarn("result cache: scrub removed orphan temp file ",
-                    name);
-            continue;
-        }
-        const std::string key = entryKey(name);
-        if (key.empty())
-            continue; // not ours; leave unknown files alone
-        std::string payload;
-        {
-            std::ifstream in(dirent.path(), std::ios::binary);
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            payload = buf.str();
-        }
-        if (!validPayload(payload)) {
-            std::error_code rm;
-            fs::remove(dirent.path(), rm);
-            ++stats_.scrubCorruptEntries;
-            // invalidDiskEntries is the total-corruption counter no
-            // matter who discovered the entry (scrub or lookup).
-            ++stats_.invalidDiskEntries;
-            logWarn("result cache: scrub removed corrupt entry ", key);
-            continue;
-        }
-        found.emplace(key, payload.size());
-        unjournaled.emplace_back(dirent.last_write_time(ec), key);
-    }
-    if (ec) {
-        logWarn("result cache: scrub could not walk ", diskDir_, ": ",
-                ec.message());
-    }
-
-    // Pass 2: rebuild recency. Journaled keys keep their recorded
-    // order; survivors the journal never saw (a crash before the
-    // journal write, or another process's entries) are appended
-    // oldest-first by mtime so they evict before journaled entries of
-    // the same age class.
-    std::unordered_map<std::string, bool> journaled;
-    {
-        std::ifstream journal(journalPath());
-        std::string line;
-        while (std::getline(journal, line)) {
-            if (line.empty() || journaled.count(line) ||
-                found.find(line) == found.end()) {
-                continue; // stale or duplicate journal line
-            }
-            journaled.emplace(line, true);
-            lru_.push_back(line);
-            diskIndex_[line] = {std::prev(lru_.end()), found[line]};
-            diskBytes_ += found[line];
-        }
-    }
-    std::sort(unjournaled.begin(), unjournaled.end());
-    // Iterate newest-first so push_front leaves the oldest unjournaled
-    // entry at the very front of the LRU (first victim).
-    for (auto it = unjournaled.rbegin(); it != unjournaled.rend();
-         ++it) {
-        const std::string& key = it->second;
-        if (journaled.count(key))
-            continue;
-        lru_.push_front(key);
-        diskIndex_[key] = {lru_.begin(), found[key]};
-        diskBytes_ += found[key];
-        journalDirty_ = true;
-    }
-
-    // Pass 3: a cap may have shrunk since the last run.
-    evictToFitLocked();
-    persistJournalLocked();
-}
-
-void
-ResultCache::touchLocked(const std::string& key, std::uint64_t bytes)
-{
-    const auto it = diskIndex_.find(key);
-    if (it == diskIndex_.end()) {
-        lru_.push_back(key);
-        diskIndex_[key] = {std::prev(lru_.end()), bytes};
-        diskBytes_ += bytes;
-    } else {
-        lru_.splice(lru_.end(), lru_, it->second.lruIt);
-        diskBytes_ += bytes - it->second.bytes;
-        it->second.bytes = bytes;
-    }
-    journalDirty_ = true;
-}
-
-void
-ResultCache::forgetLocked(const std::string& key)
-{
-    const auto it = diskIndex_.find(key);
-    if (it == diskIndex_.end())
-        return;
-    diskBytes_ -= it->second.bytes;
-    lru_.erase(it->second.lruIt);
-    diskIndex_.erase(it);
-    journalDirty_ = true;
-}
-
-void
-ResultCache::evictToFitLocked()
-{
-    if (mode_ != CacheDiskMode::kReadWrite)
-        return; // a degraded tier must not churn the directory
-    const auto overCap = [this] {
-        if (limits_.maxBytes != 0 && diskBytes_ > limits_.maxBytes)
-            return true;
-        return limits_.maxEntries != 0 &&
-               diskIndex_.size() > limits_.maxEntries;
-    };
-    while (overCap() && !lru_.empty()) {
-        const std::string victim = lru_.front();
-        const std::uint64_t bytes = diskIndex_[victim].bytes;
-        std::error_code ec;
-        fs::remove(diskPath(victim), ec);
-        if (ec) {
-            logWarn("result cache: cannot evict ", victim, ": ",
-                    ec.message());
-        }
-        // Drop the accounting even when the unlink failed — retrying
-        // the same victim forever would wedge the store path, and the
-        // scrub of the next start re-adopts any survivor.
-        forgetLocked(victim);
-        ++stats_.evictions;
-        stats_.evictedBytes += bytes;
-    }
-}
-
-void
-ResultCache::persistJournalLocked()
-{
-    if (!journalDirty_ || diskDir_.empty() ||
-        mode_ != CacheDiskMode::kReadWrite) {
-        return;
-    }
-    const std::string tmp = journalPath() + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        for (const std::string& key : lru_)
-            out << key << '\n';
-        out.flush();
-        if (!out) {
-            logWarn("result cache: cannot write access journal ", tmp);
-            std::error_code rm;
-            fs::remove(tmp, rm);
-            return; // stays dirty; retried on the next store/evict
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, journalPath(), ec);
-    if (ec) {
-        logWarn("result cache: cannot publish access journal: ",
-                ec.message());
-        fs::remove(tmp, ec);
-        return;
-    }
-    journalDirty_ = false;
-}
-
-void
-ResultCache::degradeLocked(CacheDiskMode target, int err, const char* op)
-{
-    if (static_cast<int>(target) <= static_cast<int>(mode_))
-        return;
-    mode_ = target;
-    ++stats_.degradations;
-    logWarn("result cache: ", op, " failed (", std::strerror(err),
-            "); degrading disk tier to ", cacheDiskModeName(target));
 }
 
 std::optional<std::string>
@@ -303,78 +84,51 @@ ResultCache::lookup(const std::string& key)
     const auto it = memory_.find(key);
     if (it != memory_.end()) {
         ++stats_.memoryHits;
-        // Keep disk recency honest even for hot keys: the disk copy
-        // of a frequently-hit entry must not be the next LRU victim.
-        if (mode_ == CacheDiskMode::kReadWrite &&
-            diskIndex_.count(key)) {
-            touchLocked(key, diskIndex_[key].bytes);
-        }
         return it->second;
     }
 
-    if (mode_ != CacheDiskMode::kMemoryOnly) {
+    if (!diskDir_.empty()) {
         const std::string path = diskPath(key);
-        int fd = -1;
-        int err = faultInjectAt("cache.read");
-        if (err == 0) {
-            fd = ::open(path.c_str(), O_RDONLY);
-            if (fd < 0)
-                err = errno;
-        }
+        const int fd = ::open(path.c_str(), O_RDONLY);
         if (fd < 0) {
-            if (err != ENOENT) {
-                if (err == EIO) {
-                    degradeLocked(CacheDiskMode::kMemoryOnly, err,
-                                  "disk read");
-                } else {
-                    logWarn("result cache: cannot read ", path, ": ",
-                            std::strerror(err));
-                }
-                ++stats_.misses;
-                return std::nullopt;
+            if (errno != ENOENT) {
+                logWarn("result cache: cannot read ", path, ": ",
+                        std::strerror(errno));
             }
-            // ENOENT: plain miss, falls through.
-        } else {
-            std::string payload;
-            char buf[65536];
-            bool read_failed = false;
-            for (;;) {
-                const ssize_t n = ::read(fd, buf, sizeof buf);
-                if (n < 0) {
-                    if (errno == EINTR)
-                        continue;
-                    read_failed = true;
-                    if (errno == EIO) {
-                        degradeLocked(CacheDiskMode::kMemoryOnly,
-                                      errno, "disk read");
-                    }
-                    break;
-                }
-                if (n == 0)
-                    break;
-                payload.append(buf, static_cast<std::size_t>(n));
+            ++stats_.misses;
+            return std::nullopt;
+        }
+        std::string payload;
+        char buf[65536];
+        bool read_failed = false;
+        for (;;) {
+            const ssize_t n = ::read(fd, buf, sizeof buf);
+            if (n < 0) {
+                if (errno == EINTR)
+                    continue;
+                logWarn("result cache: cannot read ", path, ": ",
+                        std::strerror(errno));
+                read_failed = true;
+                break;
             }
-            ::close(fd);
-            if (!read_failed) {
-                // Validate before serving: a truncated or corrupted
-                // file spliced verbatim into a response would poison
-                // the whole batch document.
-                if (validPayload(payload)) {
-                    ++stats_.diskHits;
-                    memory_.emplace(key, payload);
-                    if (mode_ == CacheDiskMode::kReadWrite) {
-                        touchLocked(key, payload.size());
-                        evictToFitLocked();
-                        persistJournalLocked();
-                    }
-                    return payload;
-                }
-                ++stats_.invalidDiskEntries;
-                logWarn("result cache: discarding corrupt entry ", key);
-                std::error_code ec;
-                fs::remove(path, ec);
-                forgetLocked(key);
-            }
+            if (n == 0)
+                break;
+            payload.append(buf, static_cast<std::size_t>(n));
+        }
+        ::close(fd);
+        // Validate before serving: a truncated or corrupted file
+        // spliced verbatim into a response would poison the whole
+        // batch document.
+        if (!read_failed && validPayload(payload)) {
+            ++stats_.diskHits;
+            memory_.emplace(key, payload);
+            return payload;
+        }
+        if (!read_failed) {
+            ++stats_.invalidDiskEntries;
+            logWarn("result cache: discarding corrupt entry ", key);
+            std::error_code ec;
+            fs::remove(path, ec);
         }
     }
 
@@ -388,50 +142,24 @@ ResultCache::writeDiskEntryLocked(const std::string& key,
 {
     // Atomic, durable publish: write a process-unique temp file, fsync
     // it, then rename. Readers (and the post-crash scrub) either see
-    // the complete entry or none at all. Every step consults the
-    // fault-injection seam so the chaos harness can script ENOSPC/EIO
-    // at exactly this boundary.
+    // the complete entry or none at all.
     const std::string final_path = diskPath(key);
     const std::string tmp_path =
         final_path + ".tmp." + std::to_string(::getpid());
 
-    int err = faultInjectAt("cache.write");
-    int fd = -1;
-    if (err == 0) {
-        fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-        if (fd < 0)
-            err = errno;
-    }
-    if (fd < 0) {
-        ++stats_.writeFailures;
-        degradeLocked(err == ENOSPC || err == EIO
-                          ? CacheDiskMode::kReadOnly
-                          : mode_,
-                      err, "disk write");
-        if (mode_ == CacheDiskMode::kReadWrite) {
-            logWarn("result cache: cannot write ", tmp_path, ": ",
-                    std::strerror(err), "; entry stays memory-only");
-        }
-        return false;
-    }
-
+    int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     const auto fail = [&](const char* op, std::uint64_t* counter) {
         const int saved = errno;
         ++*counter;
         if (fd >= 0)
             ::close(fd);
         ::unlink(tmp_path.c_str());
-        degradeLocked(saved == ENOSPC || saved == EIO
-                          ? CacheDiskMode::kReadOnly
-                          : mode_,
-                      saved, op);
-        if (mode_ == CacheDiskMode::kReadWrite) {
-            logWarn("result cache: ", op, " failed for ", key, ": ",
-                    std::strerror(saved), "; entry stays memory-only");
-        }
+        logWarn("result cache: ", op, " failed for ", key, ": ",
+                std::strerror(saved), "; entry stays memory-only");
         return false;
     };
+    if (fd < 0)
+        return fail("disk open", &stats_.writeFailures);
 
     std::size_t off = 0;
     while (off < payload.size()) {
@@ -445,23 +173,16 @@ ResultCache::writeDiskEntryLocked(const std::string& key,
         off += static_cast<std::size_t>(n);
     }
 
-    if ((err = faultInjectAt("cache.fsync")) != 0 || ::fsync(fd) != 0) {
-        if (err != 0)
-            errno = err;
+    if (::fsync(fd) != 0)
         return fail("disk fsync", &stats_.fsyncFailures);
-    }
     if (::close(fd) != 0) {
         fd = -1; // already closed (even on error)
         return fail("disk close", &stats_.writeFailures);
     }
     fd = -1;
 
-    if ((err = faultInjectAt("cache.rename")) != 0 ||
-        ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-        if (err != 0)
-            errno = err;
+    if (::rename(tmp_path.c_str(), final_path.c_str()) != 0)
         return fail("disk rename", &stats_.renameFailures);
-    }
     return true;
 }
 
@@ -471,18 +192,8 @@ ResultCache::store(const std::string& key, const std::string& payload)
     const std::lock_guard<std::mutex> lock(mu_);
     memory_[key] = payload;
     ++stats_.stores;
-
-    if (diskDir_.empty())
-        return;
-    if (mode_ != CacheDiskMode::kReadWrite) {
-        ++stats_.storesSkippedDegraded;
-        return;
-    }
-    if (!writeDiskEntryLocked(key, payload))
-        return;
-    touchLocked(key, payload.size());
-    evictToFitLocked();
-    persistJournalLocked();
+    if (!diskDir_.empty())
+        writeDiskEntryLocked(key, payload);
 }
 
 ResultCacheStats
@@ -497,27 +208,6 @@ ResultCache::memoryEntries() const
 {
     const std::lock_guard<std::mutex> lock(mu_);
     return memory_.size();
-}
-
-std::size_t
-ResultCache::diskEntries() const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    return diskIndex_.size();
-}
-
-std::uint64_t
-ResultCache::diskBytes() const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    return diskBytes_;
-}
-
-CacheDiskMode
-ResultCache::diskMode() const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    return mode_;
 }
 
 } // namespace apres

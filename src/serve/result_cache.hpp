@@ -1,36 +1,30 @@
 /**
  * @file
- * Two-tier content-addressed result cache with bounded, crash-safe
- * persistence.
+ * Two-tier content-addressed result cache with crash-safe persistence.
  *
  * Tier 1 is an in-process map (hot keys answer without touching the
  * filesystem); tier 2 is a directory of "<key>.json" files that
- * survives daemon restarts, so many clients sweeping overlapping
- * design spaces share one warm cache across sessions. Keys are
- * content hashes (protocol.hpp documents their anatomy), values are
- * the canonical serialized RunResult documents — the cache returns
- * the stored bytes verbatim, which is what makes repeated requests
+ * survives daemon restarts, so clients sweeping overlapping design
+ * spaces share one warm cache across sessions. Keys are content
+ * hashes (protocol.hpp documents their anatomy), values are the
+ * canonical serialized RunResult documents — the cache returns the
+ * stored bytes verbatim, which is what makes repeated requests
  * bitwise-identical to the run that produced them.
  *
- * The disk tier is bounded and self-repairing:
+ * The disk tier never serves a damaged entry:
  *
- *  - Size/entry caps (CacheLimits) with LRU eviction. Recency lives
- *    in an access-order journal ("journal.lru", one key per line,
- *    oldest first) persisted with the same atomic temp+rename
- *    discipline as the entries, so eviction order survives restarts.
- *  - A startup scrub walks the directory before serving: orphaned
- *    temp files from a crashed writer are deleted, zero-length and
- *    truncated/corrupt entries are repaired away, and every repair is
- *    counted in stats (scrubOrphanTmps / scrubCorruptEntries).
- *  - Entry writes go through open/write/fsync/rename with every
- *    failure counted (writeFailures / fsyncFailures / renameFailures)
- *    instead of silently losing the entry — the payload always stays
- *    served from the memory tier.
- *  - Resource exhaustion degrades instead of failing requests: the
- *    first ENOSPC/EIO on the write path drops the disk tier to
- *    read-only (existing entries still serve, nothing new persists);
- *    an EIO on the read path drops it to memory-only. The ladder is
- *    one-way per process and counted in stats.degradations.
+ *  - Entry writes go through open/write/fsync/rename, so a crashed
+ *    writer leaves at most an orphaned "*.tmp.*" file, never a
+ *    half-written entry. Every failure is counted (writeFailures /
+ *    fsyncFailures / renameFailures) and the payload stays served
+ *    from the memory tier.
+ *  - Construction removes orphaned temp files (scrubOrphanTmps).
+ *  - Every disk read is validated as JSON; a truncated or corrupt
+ *    entry is deleted, counted (invalidDiskEntries) and reported as a
+ *    miss.
+ *
+ * The disk tier is unbounded: one entry is a few KB and the result
+ * space of a study is small. Delete the directory to reclaim it.
  *
  * Caching is sound because a simulation is a pure function of its
  * semantic configuration (bitwise determinism pinned by the
@@ -46,33 +40,12 @@
 #define APRES_SERVE_RESULT_CACHE_HPP
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 
 namespace apres {
-
-/** Disk-tier bounds; 0 means unlimited. */
-struct CacheLimits
-{
-    std::uint64_t maxBytes = 0;   ///< total payload bytes on disk
-    std::uint64_t maxEntries = 0; ///< number of disk entries
-};
-
-/**
- * The degradation ladder, in order. Transitions are one-way: a cache
- * never silently re-arms a tier the environment just proved broken.
- */
-enum class CacheDiskMode {
-    kReadWrite,  ///< normal: disk tier reads and persists
-    kReadOnly,   ///< write path failed (ENOSPC/EIO): serve, don't store
-    kMemoryOnly, ///< read path failed (EIO) or no directory configured
-};
-
-/** Stable lowercase name ("readWrite", "readOnly", "memoryOnly"). */
-const char* cacheDiskModeName(CacheDiskMode mode);
 
 /** Hit/miss counters (one snapshot; monotonically growing). */
 struct ResultCacheStats
@@ -83,18 +56,11 @@ struct ResultCacheStats
     std::uint64_t stores = 0;
     std::uint64_t invalidDiskEntries = 0; ///< corrupt files discarded
 
-    std::uint64_t evictions = 0;     ///< disk entries evicted by caps
-    std::uint64_t evictedBytes = 0;  ///< payload bytes reclaimed
-
     std::uint64_t writeFailures = 0;  ///< open/write/close failures
     std::uint64_t fsyncFailures = 0;  ///< fsync failures before publish
     std::uint64_t renameFailures = 0; ///< atomic-publish rename failures
 
-    std::uint64_t scrubOrphanTmps = 0;     ///< startup: temp files removed
-    std::uint64_t scrubCorruptEntries = 0; ///< startup: bad entries removed
-
-    std::uint64_t degradations = 0;          ///< ladder transitions taken
-    std::uint64_t storesSkippedDegraded = 0; ///< stores not persisted
+    std::uint64_t scrubOrphanTmps = 0; ///< startup: temp files removed
 
     std::uint64_t hits() const { return memoryHits + diskHits; }
 };
@@ -106,15 +72,10 @@ class ResultCache
      * @param disk_dir  directory for the persistent tier (created on
      *                  demand); empty string keeps the cache
      *                  memory-only.
-     * @param limits    disk-tier caps; enforced by LRU eviction.
      * Throws SimError(kConfig) when the directory cannot be created.
-     * Construction scrubs the directory (see the file comment).
+     * Construction removes orphaned temp files (see the file comment).
      */
-    explicit ResultCache(std::string disk_dir = "",
-                         CacheLimits limits = {});
-
-    /** Persists the access journal when it has unsaved recency. */
-    ~ResultCache();
+    explicit ResultCache(std::string disk_dir = "");
 
     ResultCache(const ResultCache&) = delete;
     ResultCache& operator=(const ResultCache&) = delete;
@@ -124,17 +85,15 @@ class ResultCache
      * then disk (a disk hit is promoted into memory). A disk entry
      * that fails JSON validation is deleted and counted as
      * invalidDiskEntries, then reported as a miss — a corrupt file
-     * must never be spliced into a response. An I/O error reading the
-     * disk tier degrades it to memory-only and reports a miss.
+     * must never be spliced into a response.
      */
     std::optional<std::string> lookup(const std::string& key);
 
     /**
      * Store @p payload (a complete JSON document) under @p key in
      * both tiers. The disk write is atomic and durable (temp file +
-     * fsync + rename), so a crashed daemon never leaves a half-written
-     * entry behind; write-path failures are counted and — on
-     * ENOSPC/EIO — degrade the disk tier to read-only.
+     * fsync + rename); a failed write is counted and the entry stays
+     * served from memory.
      */
     void store(const std::string& key, const std::string& payload);
 
@@ -143,62 +102,19 @@ class ResultCache
     /** Entries currently resident in the memory tier. */
     std::size_t memoryEntries() const;
 
-    /** Entries currently accounted on disk. */
-    std::size_t diskEntries() const;
-
-    /** Payload bytes currently accounted on disk. */
-    std::uint64_t diskBytes() const;
-
-    /** Current rung of the degradation ladder. */
-    CacheDiskMode diskMode() const;
-
     const std::string& diskDir() const { return diskDir_; }
-    const CacheLimits& limits() const { return limits_; }
 
   private:
     std::string diskPath(const std::string& key) const;
-    std::string journalPath() const;
-
-    /** Startup: repair the directory and rebuild the LRU index. */
-    void scrubLocked();
-
-    /** Record @p key as most recently used (inserting if new). */
-    void touchLocked(const std::string& key, std::uint64_t bytes);
-
-    /** Drop @p key from the LRU index (file already handled). */
-    void forgetLocked(const std::string& key);
-
-    /** Evict oldest entries until the caps are satisfied. */
-    void evictToFitLocked();
-
-    /** Atomically rewrite the access journal when dirty. */
-    void persistJournalLocked();
 
     /** open/write/fsync/rename one entry; false on any failure. */
     bool writeDiskEntryLocked(const std::string& key,
                               const std::string& payload);
 
-    /** Take the ladder down to @p target (one-way; counted). */
-    void degradeLocked(CacheDiskMode target, int err, const char* op);
-
     const std::string diskDir_; ///< empty = memory-only
-    const CacheLimits limits_;
     mutable std::mutex mu_;
     std::unordered_map<std::string, std::string> memory_;
     ResultCacheStats stats_;
-
-    CacheDiskMode mode_ = CacheDiskMode::kReadWrite;
-
-    /** Disk-entry recency: oldest at front, newest at back. */
-    std::list<std::string> lru_;
-    struct DiskEntry
-    {
-        std::list<std::string>::iterator lruIt;
-        std::uint64_t bytes = 0;
-    };
-    std::unordered_map<std::string, DiskEntry> diskIndex_;
-    std::uint64_t diskBytes_ = 0;
-    bool journalDirty_ = false;
 };
 
 } // namespace apres

@@ -9,7 +9,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/fault_inject.hpp"
 #include "common/log.hpp"
 #include "common/sim_error.hpp"
 
@@ -48,10 +47,6 @@ JobExecutor::execute(const SweepJob& job, std::uint64_t seed) const
         outcome.failure = nullptr;
         RunResult r;
         try {
-            // Chaos seam: sleep actions make deterministically slow
-            // jobs for overload tests, throw actions exercise the
-            // error-row path. One relaxed load when disarmed.
-            faultInjectAt("job.execute");
             executions_.fetch_add(1, std::memory_order_relaxed);
             Gpu gpu(cfg, *job.kernel);
             if (policy_.timeoutSeconds > 0.0) {

@@ -15,26 +15,17 @@
  * or with any tool that speaks the protocol (see DESIGN.md
  * "Simulation service"). Stop it with a {"type":"shutdown"} request
  * or SIGINT/SIGTERM.
- *
- * Every serving knob is a serve.* config key (--set serve.key=value,
- * enumerable with --list-keys); the named flags below are sugar over
- * the same registry. --fault-inject (or the APRES_FAULT_INJECT env
- * var) arms the deterministic fault-injection seam for chaos testing
- * — never use it in production.
  */
 
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
-#include "common/fault_inject.hpp"
 #include "common/log.hpp"
 #include "common/parse.hpp"
 #include "common/sim_error.hpp"
 #include "serve/daemon.hpp"
-#include "serve/serve_config.hpp"
 
 using namespace apres;
 
@@ -61,35 +52,19 @@ printHelp()
         "(required)\n"
         "  --cache-dir DIR        persistent cache directory (default: "
         "in-memory only)\n"
-        "  --cache-max-bytes N    disk-cache size cap; LRU eviction "
-        "(default: unlimited)\n"
-        "  --cache-max-entries N  disk-cache entry cap (default: "
-        "unlimited)\n"
         "  --threads N            worker threads per batch (default: "
         "hardware concurrency)\n"
-        "  --queue-depth N        admission-queue depth; connections\n"
-        "                         beyond it get a typed overloaded "
-        "shed (default: 16)\n"
-        "  --dispatch-threads N   threads draining the queue "
-        "(default: 1)\n"
-        "  --request-deadline-ms N  shed requests that waited longer "
-        "(default: off)\n"
-        "  --io-timeout-ms N      socket read/write deadline "
-        "(default: 10000)\n"
-        "  --max-request-bytes N  reject larger requests "
-        "(default: 16 MiB)\n"
         "  --fingerprint S        override the cache schema "
         "fingerprint\n"
         "                         (also: APRES_SERVE_FINGERPRINT env "
         "var)\n"
-        "  --set KEY=VALUE        set any serve.* key directly\n"
-        "  --list-keys            print every serve.* key and exit\n"
-        "  --fault-inject SPEC    arm deterministic fault injection\n"
-        "                         (also: APRES_FAULT_INJECT env var; "
-        "testing only)\n"
+        "  --io-timeout-ms N      socket read/write deadline; 0 "
+        "disables (default: 10000)\n"
+        "  --max-request-bytes N  reject larger requests "
+        "(default: 16 MiB)\n"
         "  --help                 this text\n\n"
-        "Requests are one JSON document per connection; see DESIGN.md\n"
-        "\"Simulation service\" for the protocol, overload control "
+        "Requests are one JSON document per connection, served one at\n"
+        "a time; see DESIGN.md \"Simulation service\" for the protocol\n"
         "and cache-key anatomy.\n";
 }
 
@@ -97,11 +72,6 @@ int
 run(int argc, char** argv)
 {
     ServeOptions opts;
-    ServeConfigRegistry registry(opts);
-    std::string faultSpec;
-    if (const char* env = std::getenv("APRES_FAULT_INJECT"))
-        faultSpec = env;
-
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto next = [&]() -> std::string {
@@ -112,56 +82,27 @@ run(int argc, char** argv)
         if (arg == "--help" || arg == "-h") {
             printHelp();
             return 0;
-        } else if (arg == "--list-keys") {
-            for (const std::string& key : registry.keys())
-                std::cout << key << " = " << registry.get(key) << "\n";
-            return 0;
         } else if (arg == "--socket") {
             opts.socketPath = next();
         } else if (arg == "--cache-dir") {
             opts.cacheDir = next();
-        } else if (arg == "--cache-max-bytes") {
-            registry.set("serve.cacheMaxBytes", next());
-        } else if (arg == "--cache-max-entries") {
-            registry.set("serve.cacheMaxEntries", next());
         } else if (arg == "--threads") {
-            registry.set("serve.threads", next());
-        } else if (arg == "--queue-depth") {
-            registry.set("serve.queueDepth", next());
-        } else if (arg == "--dispatch-threads") {
-            registry.set("serve.dispatchThreads", next());
-        } else if (arg == "--request-deadline-ms") {
-            registry.set("serve.requestDeadlineMs", next());
-        } else if (arg == "--io-timeout-ms") {
-            registry.set("serve.ioTimeoutMs", next());
-        } else if (arg == "--max-request-bytes") {
-            registry.set("serve.maxRequestBytes", next());
-        } else if (arg == "--retry-after-ms") {
-            registry.set("serve.retryAfterMs", next());
+            const std::uint64_t threads = parseUintOption(arg, next());
+            if (threads > 4096)
+                fatal("--threads must be at most 4096");
+            opts.threads = static_cast<int>(threads);
         } else if (arg == "--fingerprint") {
             opts.fingerprint = next();
-        } else if (arg == "--set") {
-            const std::string assignment = next();
-            const std::size_t eq = assignment.find('=');
-            if (eq == std::string::npos || eq == 0)
-                fatal("--set expects KEY=VALUE, got \"" + assignment +
-                      "\"");
-            registry.set(assignment.substr(0, eq),
-                         assignment.substr(eq + 1));
-        } else if (arg == "--fault-inject") {
-            faultSpec = next();
+        } else if (arg == "--io-timeout-ms") {
+            opts.ioTimeoutMs = parseUintOption(arg, next());
+        } else if (arg == "--max-request-bytes") {
+            opts.maxRequestBytes = parsePositiveUintOption(arg, next());
         } else {
             fatal("unknown option: " + arg + " (try --help)");
         }
     }
     if (opts.socketPath.empty())
         fatal("apres_serve: --socket PATH is required (try --help)");
-
-    if (!faultSpec.empty()) {
-        FaultInjector::instance().configure(faultSpec);
-        std::cerr << "[apres-serve] FAULT INJECTION ARMED: "
-                  << faultSpec << "\n";
-    }
 
     ServeDaemon daemon(opts);
     daemon.start();
@@ -179,18 +120,9 @@ run(int argc, char** argv)
     daemon.stop();
 
     const ResultCacheStats stats = daemon.cache().stats();
-    const ServeLoadStats load = daemon.loadStats();
     std::cerr << "[apres-serve] served " << stats.hits() << " hit(s), "
               << stats.misses << " miss(es), ran "
-              << daemon.simulationsRun() << " simulation(s)";
-    if (load.shedQueueFull + load.shedDeadline + load.shedShutdown > 0) {
-        std::cerr << "; shed " << load.shedQueueFull << " queueFull / "
-                  << load.shedDeadline << " deadline / "
-                  << load.shedShutdown << " shutdown";
-    }
-    if (stats.evictions > 0)
-        std::cerr << "; evicted " << stats.evictions << " entr(ies)";
-    std::cerr << "\n";
+              << daemon.simulationsRun() << " simulation(s)\n";
     return 0;
 }
 

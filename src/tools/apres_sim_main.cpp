@@ -82,13 +82,7 @@ printHelp()
         "                    daemon instead of simulating locally; the\n"
         "                    raw JSON response is printed to stdout and\n"
         "                    repeated configurations are answered from\n"
-        "                    its content-addressed result cache\n"
-        "  --retry-budget N  retries when the daemon sheds with a typed\n"
-        "                    overloaded response or the connection\n"
-        "                    fails (default 8; 0 disables)\n"
-        "  --retry-base-ms N first backoff nap; doubles per retry with\n"
-        "                    jitter, floored by the daemon's\n"
-        "                    retryAfterMs hint (default 100)\n\n"
+        "                    its content-addressed result cache\n\n"
         "output:\n"
         "  --trace FILE      write a Chrome trace_event JSON of the run\n"
         "                    (open in chrome://tracing or Perfetto;\n"
@@ -141,7 +135,7 @@ writeRunJson(JsonWriter& json, const std::string& workload,
 int
 runConnected(const std::string& socket_path, const ConfigRegistry& registry,
              const std::string& workload, const std::string& kernel_file,
-             double scale, const ServeRetryPolicy& retry)
+             double scale)
 {
     GpuConfig defaults;
     const ConfigRegistry default_registry(defaults);
@@ -191,21 +185,12 @@ runConnected(const std::string& socket_path, const ConfigRegistry& registry,
     json.endObject();
     json.finish();
 
-    int attempts = 0;
-    const std::string response =
-        serveRoundTripWithRetry(socket_path, os.str(), retry, &attempts);
+    const std::string response = serveRoundTrip(socket_path, os.str());
     std::cout << response << '\n';
 
     const JsonValue doc = JsonValue::parse(response);
-    if (!doc.isObject() || doc.at("type").asString() != "result") {
-        if (doc.isObject() && doc.find("type") &&
-            doc.at("type").asString() == "overloaded") {
-            std::cerr << "apres_sim: daemon still overloaded after "
-                      << attempts << " attempt(s); raise --retry-budget "
-                      << "or try again later\n";
-        }
+    if (!doc.isObject() || doc.at("type").asString() != "result")
         return 1;
-    }
     const JsonValue& runs = doc.at("runs");
     for (std::size_t i = 0; i < runs.size(); ++i) {
         if (runs.at(i).at("result").at("status").asString() != "ok")
@@ -239,8 +224,6 @@ run(int argc, char** argv)
     std::string workload = "KM";
     std::string kernel_file;
     std::string connect_path;
-    ServeRetryPolicy retry;
-    retry.budget = 8;
     double scale = 1.0;
     std::string csv_path;
     std::string timeline_path;
@@ -269,11 +252,6 @@ run(int argc, char** argv)
             kernel_file = next();
         } else if (arg == "--connect") {
             connect_path = next();
-        } else if (arg == "--retry-budget") {
-            retry.budget =
-                static_cast<int>(parseUintOption(arg, next()));
-        } else if (arg == "--retry-base-ms") {
-            retry.baseMs = parsePositiveUintOption(arg, next());
         } else if (arg == "--scale") {
             scale = parsePositiveDoubleOption(arg, next());
         } else if (arg == "--set") {
@@ -356,7 +334,7 @@ run(int argc, char** argv)
 
     if (!connect_path.empty())
         return runConnected(connect_path, registry, workload, kernel_file,
-                            scale, retry);
+                            scale);
 
     struct Job
     {

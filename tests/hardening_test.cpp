@@ -16,6 +16,7 @@
 #include "apres/sap.hpp"
 #include "isa/address_gen.hpp"
 #include "isa/kernel.hpp"
+#include "isa/kernel_text.hpp"
 #include "sim/gpu.hpp"
 #include "sim/policy_registry.hpp"
 #include "sim/runner.hpp"
@@ -121,6 +122,185 @@ TEST(Auditor, SkippedIssueableCycleIsDetected)
     gpu.smForTest(0).debugForceReadyClean(gpu.now() + 1'000'000);
     expectSimError(SimErrorKind::kInvariant, "invariant audit failed",
                    [&] { gpu.auditNow(); });
+}
+
+TEST(Auditor, DoubleRetiredWarpBreaksWarpConservation)
+{
+    // Put a retired warp back into the ready scan, as load completions
+    // once did: it issues its exit again and the done() counter drops
+    // below the number of live warps. The conservation check must
+    // flag it instead of letting the kernel spin to the watchdog.
+    KernelBuilder b("exit-with-load");
+    b.load(std::make_unique<StridedGen>(Addr{0x10'0000}, 4, 4));
+    const Kernel kernel = b.build(/*trip_count=*/1);
+    GpuConfig cfg;
+    cfg.numSms = 1;
+    cfg.sm.warpsPerSm = 1;
+    cfg.sm.warpsPerBlock = 1;
+    cfg.sm.jobsPerWarp = 1;
+    cfg.audit = true;
+    Gpu gpu(cfg, kernel);
+    // Load, branch, exit: the warp retires long before its load returns.
+    while (!gpu.smForTest(0).warpState(0).finished)
+        gpu.step(1);
+    gpu.auditNow(); // consistent before the fault
+    gpu.smForTest(0).debugRearmWarp(0);
+    gpu.step(1);
+    expectSimError(SimErrorKind::kInvariant, "unfinishedWarps=-1 but 0",
+                   [&] { gpu.auditNow(); });
+}
+
+// --------------------------------------------------------------------
+// Warps that retire or park with a load in flight stay put.
+// --------------------------------------------------------------------
+
+/** Instructions a completed run retires: each job runs the body
+ *  (everything but exit) trip-count times, then exits once. */
+std::uint64_t
+derivedInstructions(const Kernel& kernel, const GpuConfig& cfg)
+{
+    std::uint64_t body = 0;
+    for (const Instruction& instr : kernel.code())
+        body += instr.op == Opcode::kExit ? 0 : 1;
+    return (body * kernel.tripCount() + 1) *
+           static_cast<std::uint64_t>(cfg.numSms) *
+           static_cast<std::uint64_t>(cfg.sm.warpsPerSm) *
+           static_cast<std::uint64_t>(cfg.sm.jobsPerWarp);
+}
+
+TEST(Exit, WarpEndingInALoadRetiresOnce)
+{
+    // The body ends in a load, so every warp exits with that load
+    // still in flight. Its completion used to re-arm the retired warp,
+    // which issued exit again until unfinishedWarps went negative and
+    // the kernel never drained.
+    const Kernel kernel = parseKernelText(
+        "kernel t 1\n"
+        "gen 0 strided base=1048576 warp=4 iter=4\n"
+        "load r0 pc=0x0 gen=0 lanestride=4 lanes=32\n");
+    GpuConfig cfg;
+    cfg.watchdogCycles = 200'000;
+    cfg.audit = true;
+    for (const bool ff : {true, false}) {
+        cfg.fastForward = ff;
+        const RunResult r = simulate(cfg, kernel);
+        EXPECT_TRUE(r.completed) << "ff=" << ff;
+        EXPECT_EQ(r.instructions, derivedInstructions(kernel, cfg))
+            << "ff=" << ff;
+    }
+}
+
+TEST(Exit, ExploreKernelWithTrailingLoadDrains)
+{
+    // Found by an explore campaign (x021_98a533d7): it retired 18592
+    // instructions, more than a completed run can, then hung.
+    const Kernel kernel = parseKernelText(
+        "kernel x021_98a533d7 16\n"
+        "gen 0 irregular base=50331648 lines=2048 sharewarps=6 "
+        "shareiters=8 seed=15508985795074466976 lag=3\n"
+        "gen 1 zipf base=222298112 lines=8 alpha=0.5 "
+        "seed=17681225491902893530\n"
+        "gen 2 irregular base=125829120 lines=2048 sharewarps=7 "
+        "shareiters=6 seed=7667730234554449410 lag=4\n"
+        "load r0 pc=0x0 gen=0 lanestride=4 lanes=2\n"
+        "alu r1 r0 lat=8\n"
+        "load r2 pc=0x10 gen=1 lanestride=128 lanes=4 dep=r1\n"
+        "alu r3 r2 lat=8\n"
+        "alu r4 r3 lat=8\n"
+        "alu r5 r4 lat=8\n"
+        "alu r6 r5 lat=8\n"
+        "load r7 pc=0x38 gen=2 lanestride=4 lanes=1 dep=r6\n");
+    GpuConfig cfg;
+    cfg.numSms = 2;
+    cfg.sm.warpsPerSm = 16;
+    cfg.sm.warpsPerBlock = 8;
+    cfg.scheduler = "gto";
+    cfg.prefetcher = "sld";
+    cfg.watchdogCycles = 200'000;
+    cfg.audit = true;
+    const RunResult r = simulate(cfg, kernel);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(derivedInstructions(kernel, cfg), 18560u);
+    EXPECT_EQ(r.instructions, 18560u);
+}
+
+/**
+ * Greedy lowest-id scheduler that also checks barrier semantics from
+ * the issue stream: a warp's first issue after a barrier must wait
+ * until every warp of its (single) block issued that barrier too.
+ */
+class BarrierWatchScheduler final : public Scheduler
+{
+  public:
+    static inline int earlyIssues = 0;
+
+    void attach(SmContext&) override {}
+    WarpId pick(Cycle, const std::vector<WarpId>& ready) override
+    {
+        return ready.empty() ? kInvalidWarp : ready.front();
+    }
+    void notifyIssue(WarpId warp, const Instruction& instr, Cycle) override
+    {
+        const auto w = static_cast<std::size_t>(warp);
+        if (instr.op == Opcode::kBarrier) {
+            ++arrivals_[w];
+            parked_[w] = true;
+            return;
+        }
+        if (!parked_[w])
+            return;
+        parked_[w] = false;
+        for (const int a : arrivals_)
+            earlyIssues += a < arrivals_[w] ? 1 : 0;
+    }
+    const char* name() const override { return "barrier-watch"; }
+
+  private:
+    std::vector<int> arrivals_ = std::vector<int>(4, 0);
+    std::vector<bool> parked_ = std::vector<bool>(4, false);
+};
+
+TEST(Barrier, LoadCompletingWhileParkedKeepsWarpParked)
+{
+    // The first load is 32 lines per warp, so DRAM answers the warps
+    // one after another. The first warp answered then issues a short
+    // load (an L1 hit after the first trip) and parks at the barrier
+    // while its siblings still wait on DRAM. That load completing must
+    // not let the parked warp issue past the barrier.
+    static const bool registered = [] {
+        registerScheduler(
+            "barrier-watch",
+            [](const GpuConfig&) -> std::unique_ptr<Scheduler> {
+                return std::make_unique<BarrierWatchScheduler>();
+            });
+        return true;
+    }();
+    (void)registered;
+
+    KernelBuilder b("park-with-load");
+    const int wide = b.load(std::make_unique<StridedGen>(
+                                Addr{0x1000'0000}, 1 << 12, 1 << 17),
+                            /*lane_stride=*/128);
+    const int addr = b.alu({wide}, 1, /*latency=*/1);
+    const int hot = b.load(
+        std::make_unique<StridedGen>(Addr{0x2000'0000}, 0, 0),
+        /*lane_stride=*/4, kInvalidPc, addr);
+    b.barrier();
+    b.alu({hot}, 1, /*latency=*/1);
+    const Kernel kernel = b.build(/*trip_count=*/8);
+
+    GpuConfig cfg;
+    cfg.numSms = 1;
+    cfg.sm.warpsPerSm = 4;
+    cfg.sm.warpsPerBlock = 4;
+    cfg.sm.jobsPerWarp = 1;
+    cfg.scheduler = "barrier-watch";
+    cfg.watchdogCycles = 200'000;
+    BarrierWatchScheduler::earlyIssues = 0;
+    const RunResult r = simulate(cfg, kernel);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.instructions, derivedInstructions(kernel, cfg));
+    EXPECT_EQ(BarrierWatchScheduler::earlyIssues, 0);
 }
 
 // --------------------------------------------------------------------

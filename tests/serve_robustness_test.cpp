@@ -1,21 +1,20 @@
 /**
  * @file
- * Robustness tests for the serving layer: the deterministic fault
- * injector itself, LRU eviction and journal recovery in the bounded
- * disk cache, the startup scrub, the degradation ladder, and — over a
- * live socket — overload shedding, accept-backoff under fd
- * exhaustion, oversize rejection and queue-wait deadlines.
- *
- * Every test arms FaultInjector and resets it on teardown; the rest
- * of the suite (serve_test.cpp) runs with injection disarmed, which
- * is the observation-purity proof: those bitwise-identity tests pass
- * unmodified with the seam compiled in.
+ * Robustness tests for the serving layer, each under a real failure
+ * condition rather than a simulated one: a cache directory removed
+ * under a live cache, an entry path a file cannot be renamed onto,
+ * crash leftovers on disk, and — over a live socket — an oversized
+ * request, a client that never finishes its request, descriptor
+ * exhaustion at accept(), and a burst of concurrent clients waiting
+ * in the listen backlog.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cerrno>
+#include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,16 +22,16 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
-#include "common/fault_inject.hpp"
 #include "common/json.hpp"
 #include "common/json_value.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_cache.hpp"
-#include "serve/serve_config.hpp"
-#include "sim_error_matchers.hpp"
 
 namespace apres {
 namespace {
@@ -79,139 +78,31 @@ kmRunRequest(const std::string& label, double scale = 0.01)
     return os.str();
 }
 
-/** Every test starts and ends with the injector disarmed. */
-class FaultInjection : public ::testing::Test
+/** Parse a response and return its "type". */
+std::string
+responseType(const std::string& response)
 {
-  protected:
-    void SetUp() override { FaultInjector::instance().reset(); }
-    void TearDown() override { FaultInjector::instance().reset(); }
-};
-
-using ResultCacheRobustness = FaultInjection;
-using ServeOverload = FaultInjection;
-
-// --------------------------------------------------------------------
-// The injector itself.
-// --------------------------------------------------------------------
-
-TEST_F(FaultInjection, DisabledIsSilentAndCountsNothing)
-{
-    EXPECT_FALSE(FaultInjector::instance().enabled());
-    EXPECT_EQ(faultInjectAt("cache.write"), 0);
-    EXPECT_EQ(FaultInjector::instance().calls("cache.write"), 0u);
+    return JsonValue::parse(response).at("type").asString();
 }
 
-TEST_F(FaultInjection, OccurrenceWindowsAreDeterministic)
+/** Files in @p dir whose name contains ".tmp.". */
+std::size_t
+tempFiles(const std::string& dir)
 {
-    FaultInjector::instance().configure(
-        "t.site=enospc@2;t.other=eio@3+");
-    EXPECT_EQ(faultInjectAt("t.site"), 0);       // call 1
-    EXPECT_EQ(faultInjectAt("t.site"), ENOSPC);  // call 2: fires
-    EXPECT_EQ(faultInjectAt("t.site"), 0);       // call 3
-    EXPECT_EQ(faultInjectAt("t.other"), 0);
-    EXPECT_EQ(faultInjectAt("t.other"), 0);
-    EXPECT_EQ(faultInjectAt("t.other"), EIO);    // 3+ fires forever
-    EXPECT_EQ(faultInjectAt("t.other"), EIO);
-    EXPECT_EQ(FaultInjector::instance().calls("t.site"), 3u);
-    EXPECT_EQ(FaultInjector::instance().fired("t.site"), 1u);
-    EXPECT_EQ(FaultInjector::instance().fired("t.other"), 2u);
-}
-
-TEST_F(FaultInjection, ThrowActionThrows)
-{
-    FaultInjector::instance().configure("t.throw=throw");
-    EXPECT_THROW(faultInjectAt("t.throw"), std::runtime_error);
-}
-
-TEST_F(FaultInjection, MalformedSpecsAreRejected)
-{
-    expectSimError(SimErrorKind::kConfig, "fault injection", [] {
-        FaultInjector::instance().configure("nonsense");
-    });
-    expectSimError(SimErrorKind::kConfig, "badaction", [] {
-        FaultInjector::instance().configure("a.b=badaction");
-    });
-    expectSimError(SimErrorKind::kConfig, "occurrence", [] {
-        FaultInjector::instance().configure("a.b=eio@0");
-    });
-    expectSimError(SimErrorKind::kConfig, "occurrence", [] {
-        FaultInjector::instance().configure("a.b=eio@5-2");
-    });
-    EXPECT_FALSE(FaultInjector::instance().enabled());
+    std::size_t n = 0;
+    for (const auto& e : fs::directory_iterator(dir))
+        n += e.path().filename().string().find(".tmp.") !=
+                     std::string::npos
+                 ? 1
+                 : 0;
+    return n;
 }
 
 // --------------------------------------------------------------------
-// Bounded disk tier: LRU eviction, journal recovery, scrub.
+// Disk tier: crash leftovers and write failures.
 // --------------------------------------------------------------------
 
-TEST_F(ResultCacheRobustness, EvictsLeastRecentlyUsedAtEntryCap)
-{
-    const std::string dir = scratchDir("lru_entries");
-    ResultCache cache(dir, CacheLimits{0, 2});
-    cache.store("aaaa", "{\"n\": 1}");
-    cache.store("bbbb", "{\"n\": 2}");
-    cache.store("cccc", "{\"n\": 3}"); // evicts aaaa (oldest)
-
-    EXPECT_EQ(cache.diskEntries(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_FALSE(fs::exists(fs::path(dir) / "aaaa.json"));
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "bbbb.json"));
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "cccc.json"));
-    // The memory tier is unbounded: the evicted key still answers.
-    EXPECT_TRUE(cache.lookup("aaaa").has_value());
-}
-
-TEST_F(ResultCacheRobustness, LookupRefreshesRecency)
-{
-    const std::string dir = scratchDir("lru_touch");
-    ResultCache cache(dir, CacheLimits{0, 2});
-    cache.store("aaaa", "{\"n\": 1}");
-    cache.store("bbbb", "{\"n\": 2}");
-    ASSERT_TRUE(cache.lookup("aaaa").has_value()); // aaaa now newest
-    cache.store("cccc", "{\"n\": 3}");             // evicts bbbb
-
-    EXPECT_FALSE(fs::exists(fs::path(dir) / "bbbb.json"));
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "aaaa.json"));
-}
-
-TEST_F(ResultCacheRobustness, EvictsByBytesAndCountsReclaim)
-{
-    const std::string dir = scratchDir("lru_bytes");
-    std::string doc = "{\"pad\": \"" + std::string(89, 'x') + "\"}";
-    ASSERT_EQ(doc.size(), 100u);
-    ResultCache cache(dir, CacheLimits{250, 0});
-    cache.store("aaaa", doc);
-    cache.store("bbbb", doc);
-    cache.store("cccc", doc); // 300 bytes > 250: evicts aaaa
-
-    EXPECT_EQ(cache.diskEntries(), 2u);
-    EXPECT_EQ(cache.diskBytes(), 200u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.stats().evictedBytes, 100u);
-}
-
-TEST_F(ResultCacheRobustness, RecencySurvivesRestartViaJournal)
-{
-    const std::string dir = scratchDir("lru_journal");
-    {
-        ResultCache cache(dir);
-        cache.store("aaaa", "{\"n\": 1}");
-        cache.store("bbbb", "{\"n\": 2}");
-        cache.store("cccc", "{\"n\": 3}");
-        ASSERT_TRUE(cache.lookup("aaaa").has_value()); // aaaa newest
-    } // dtor persists journal.lru
-
-    ASSERT_TRUE(fs::exists(fs::path(dir) / "journal.lru"));
-    // Reopen with a cap of 2: the scrub must evict by journaled
-    // recency — bbbb is the oldest, not aaaa.
-    ResultCache warm(dir, CacheLimits{0, 2});
-    EXPECT_EQ(warm.diskEntries(), 2u);
-    EXPECT_FALSE(fs::exists(fs::path(dir) / "bbbb.json"));
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "aaaa.json"));
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "cccc.json"));
-}
-
-TEST_F(ResultCacheRobustness, ScrubRepairsCrashArtifacts)
+TEST(ResultCacheRobustness, ScrubRepairsCrashArtifacts)
 {
     const std::string dir = scratchDir("scrub");
     // A crashed writer's temp file, a truncated entry and an empty
@@ -222,203 +113,78 @@ TEST_F(ResultCacheRobustness, ScrubRepairsCrashArtifacts)
     std::ofstream(fs::path(dir) / "dddd.json") << "{\"n\": 4}";
 
     ResultCache cache(dir);
-    const ResultCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.scrubOrphanTmps, 1u);
-    EXPECT_EQ(stats.scrubCorruptEntries, 2u);
+    EXPECT_EQ(cache.stats().scrubOrphanTmps, 1u);
     EXPECT_FALSE(fs::exists(fs::path(dir) / "aaaa.json.tmp.12345"));
-    EXPECT_FALSE(fs::exists(fs::path(dir) / "bbbb.json"));
-    EXPECT_FALSE(fs::exists(fs::path(dir) / "cccc.json"));
-    EXPECT_EQ(cache.diskEntries(), 1u);
-    EXPECT_TRUE(cache.lookup("dddd").has_value());
-}
 
-// --------------------------------------------------------------------
-// Write-path failures and the degradation ladder.
-// --------------------------------------------------------------------
-
-TEST_F(ResultCacheRobustness, EnospcOnWriteDegradesToReadOnly)
-{
-    const std::string dir = scratchDir("degrade_write");
-    {
-        ResultCache seed(dir);
-        seed.store("aaaa", "{\"n\": 1}");
-    }
-    ResultCache cache(dir, CacheLimits{});
-    ASSERT_EQ(cache.diskMode(), CacheDiskMode::kReadWrite);
-
-    FaultInjector::instance().configure("cache.write=enospc");
-    cache.store("bbbb", "{\"n\": 2}");
-    EXPECT_EQ(cache.diskMode(), CacheDiskMode::kReadOnly);
-    EXPECT_EQ(cache.stats().writeFailures, 1u);
-    EXPECT_EQ(cache.stats().degradations, 1u);
-    EXPECT_FALSE(fs::exists(fs::path(dir) / "bbbb.json"));
-    // Read-only: existing disk entries still serve, new stores stay
-    // memory-only and are counted.
-    FaultInjector::instance().reset();
-    EXPECT_TRUE(cache.lookup("aaaa").has_value());
-    EXPECT_TRUE(cache.lookup("bbbb").has_value()); // memory tier
-    cache.store("cccc", "{\"n\": 3}");
-    EXPECT_EQ(cache.stats().storesSkippedDegraded, 1u);
-    EXPECT_FALSE(fs::exists(fs::path(dir) / "cccc.json"));
-}
-
-TEST_F(ResultCacheRobustness, EioOnReadDegradesToMemoryOnly)
-{
-    const std::string dir = scratchDir("degrade_read");
-    {
-        ResultCache seed(dir);
-        seed.store("aaaa", "{\"n\": 1}");
-    }
-    ResultCache cache(dir); // entry on disk, not in this memory tier
-    FaultInjector::instance().configure("cache.read=eio");
+    // The temp file was never published, and the damaged entries are
+    // deleted on first read instead of being served.
     EXPECT_FALSE(cache.lookup("aaaa").has_value());
-    EXPECT_EQ(cache.diskMode(), CacheDiskMode::kMemoryOnly);
-    EXPECT_EQ(cache.stats().degradations, 1u);
-    // Memory-only is terminal: nothing persists, nothing reads disk.
-    FaultInjector::instance().reset();
-    cache.store("bbbb", "{\"n\": 2}");
+    EXPECT_FALSE(cache.lookup("bbbb").has_value());
+    EXPECT_FALSE(cache.lookup("cccc").has_value());
+    EXPECT_EQ(cache.stats().invalidDiskEntries, 2u);
     EXPECT_FALSE(fs::exists(fs::path(dir) / "bbbb.json"));
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "cccc.json"));
+    EXPECT_EQ(cache.lookup("dddd").value_or(""), "{\"n\": 4}");
+    EXPECT_EQ(cache.stats().diskHits, 1u);
 }
 
-TEST_F(ResultCacheRobustness, FsyncAndRenameFailuresAreCounted)
+TEST(ResultCacheRobustness, WriteFailureIsCountedAndServedFromMemory)
 {
-    {
-        const std::string dir = scratchDir("fsync_fail");
-        ResultCache cache(dir);
-        FaultInjector::instance().configure("cache.fsync=eio@1");
-        cache.store("aaaa", "{\"n\": 1}");
-        EXPECT_EQ(cache.stats().fsyncFailures, 1u);
-        EXPECT_EQ(cache.diskMode(), CacheDiskMode::kReadOnly);
-        EXPECT_FALSE(fs::exists(fs::path(dir) / "aaaa.json"));
-        // No half-written temp file survives a failed publish.
-        std::size_t files = 0;
-        for (const auto& e : fs::directory_iterator(dir)) {
-            (void)e;
-            ++files;
-        }
-        EXPECT_EQ(files, 0u);
-    }
-    FaultInjector::instance().reset();
-    {
-        const std::string dir = scratchDir("rename_fail");
-        ResultCache cache(dir);
-        FaultInjector::instance().configure("cache.rename=eio@1");
-        cache.store("aaaa", "{\"n\": 1}");
-        EXPECT_EQ(cache.stats().renameFailures, 1u);
-        EXPECT_FALSE(fs::exists(fs::path(dir) / "aaaa.json"));
-        EXPECT_TRUE(cache.lookup("aaaa").has_value()); // memory tier
-    }
-}
-
-// --------------------------------------------------------------------
-// serve.* config registry.
-// --------------------------------------------------------------------
-
-TEST(ServeConfig, RoundTripsAndRejectsGarbage)
-{
+    // The cache directory disappears under a running daemon: the
+    // entry write fails, is counted, and the result is still served
+    // from memory on the next identical request.
+    const std::string dir = scratchDir("dir_removed");
     ServeOptions opts;
-    ServeConfigRegistry registry(opts);
-    registry.set("serve.queueDepth", "32");
-    registry.set("serve.cacheMaxBytes", "1048576");
-    EXPECT_EQ(opts.queueDepth, 32);
-    EXPECT_EQ(opts.cacheMaxBytes, 1048576u);
-    EXPECT_EQ(registry.get("serve.queueDepth"), "32");
-    expectSimError(SimErrorKind::kConfig, "serve.queueDepth",
-                   [&] { registry.set("serve.queueDepth", "0"); });
-    expectSimError(SimErrorKind::kConfig, "serve.queueDepth",
-                   [&] { registry.set("serve.queueDepth", "soon"); });
-    expectSimError(SimErrorKind::kConfig, "serve.nope",
-                   [&] { registry.set("serve.nope", "1"); });
-    EXPECT_EQ(opts.queueDepth, 32); // untouched by failed sets
-    EXPECT_EQ(registry.keys().size(), 12u);
-}
-
-// --------------------------------------------------------------------
-// Live-socket overload behavior.
-// --------------------------------------------------------------------
-
-/** Parse a response and return its "type". */
-std::string
-responseType(const std::string& response)
-{
-    return JsonValue::parse(response).at("type").asString();
-}
-
-TEST_F(ServeOverload, FullQueueShedsTypedAndRetrySucceeds)
-{
-    // One dispatcher stuck on a deterministically slow job (250 ms),
-    // queue depth 1: a burst of 6 must shed at least one connection
-    // with a typed overloaded document, and every shed client that
-    // retries with backoff must eventually be served.
-    FaultInjector::instance().configure("job.execute=sleep:250");
-    ServeOptions opts;
-    opts.socketPath = socketPath("overload");
-    opts.queueDepth = 1;
-    opts.dispatchThreads = 1;
+    opts.cacheDir = dir;
     opts.threads = 1;
-    opts.retryAfterMs = 50;
     ServeDaemon daemon(opts);
-    daemon.start();
+    fs::remove_all(dir);
 
-    const std::string request = kmRunRequest("burst");
-    std::atomic<int> overloaded{0};
-    std::atomic<int> servedFirstTry{0};
-    std::vector<std::thread> clients;
-    for (int i = 0; i < 6; ++i) {
-        clients.emplace_back([&] {
-            const std::string response =
-                serveRoundTrip(opts.socketPath, request);
-            if (responseType(response) == "overloaded") {
-                const JsonValue doc = JsonValue::parse(response);
-                EXPECT_EQ(doc.at("reason").asString(), "queueFull");
-                EXPECT_GE(doc.at("retryAfterMs").asUint64(), 50u);
-                ++overloaded;
-            } else {
-                EXPECT_EQ(responseType(response), "result");
-                ++servedFirstTry;
-            }
-        });
-    }
-    for (std::thread& t : clients)
-        t.join();
-    EXPECT_GE(overloaded.load(), 1);
-    EXPECT_GE(servedFirstTry.load(), 1);
-    EXPECT_GE(daemon.loadStats().shedQueueFull, 1u);
+    const std::string request = kmRunRequest("gone");
+    const JsonValue cold = JsonValue::parse(daemon.handleRequest(request));
+    ASSERT_EQ(cold.at("type").asString(), "result");
+    EXPECT_FALSE(cold.at("runs").at(0).at("cached").asBool());
+    EXPECT_EQ(daemon.cache().stats().writeFailures, 1u);
+    EXPECT_FALSE(fs::exists(dir));
 
-    // The well-behaved client rides out the same storm with retries.
-    ServeRetryPolicy policy;
-    policy.budget = 20;
-    policy.baseMs = 25;
-    policy.seed = 42;
-    int attempts = 0;
-    const std::string response = serveRoundTripWithRetry(
-        opts.socketPath, request, policy, &attempts);
-    EXPECT_EQ(responseType(response), "result");
-    EXPECT_GE(attempts, 1);
-    daemon.stop();
+    const JsonValue warm = JsonValue::parse(daemon.handleRequest(request));
+    EXPECT_TRUE(warm.at("runs").at(0).at("cached").asBool());
+    EXPECT_EQ(daemon.cache().stats().memoryHits, 1u);
+    EXPECT_EQ(daemon.simulationsRun(), 1u);
 }
 
-TEST_F(ServeOverload, AcceptBacksOffThroughFdExhaustion)
+TEST(ResultCacheRobustness, RenameFailureIsCountedAndLeavesNoTemp)
 {
-    // The first three accept() calls fail with injected EMFILE. The
-    // pending connection must survive the backoff episode and be
-    // served once descriptors "free up" — no crash, no shed, and the
-    // backoff is counted instead of log-spammed.
-    FaultInjector::instance().configure("socket.accept=emfile@1-3");
-    ServeOptions opts;
-    opts.socketPath = socketPath("emfile");
-    ServeDaemon daemon(opts);
-    daemon.start();
-
-    const std::string response =
-        serveRoundTrip(opts.socketPath, "{\"type\": \"ping\"}");
-    EXPECT_EQ(responseType(response), "pong");
-    EXPECT_GE(daemon.loadStats().acceptBackoffs, 3u);
-    EXPECT_EQ(FaultInjector::instance().fired("socket.accept"), 3u);
-    daemon.stop();
+    // A non-empty directory squats on the entry's final path, so the
+    // publishing rename fails after a complete, fsynced temp write.
+    const std::string dir = scratchDir("rename_fail");
+    fs::create_directories(fs::path(dir) / "aaaa.json" / "squatter");
+    ResultCache cache(dir);
+    cache.store("aaaa", "{\"n\": 1}");
+    EXPECT_EQ(cache.stats().renameFailures, 1u);
+    EXPECT_EQ(cache.stats().writeFailures, 0u);
+    EXPECT_EQ(tempFiles(dir), 0u);
+    EXPECT_EQ(cache.lookup("aaaa").value_or(""), "{\"n\": 1}");
 }
 
-TEST_F(ServeOverload, OversizeRequestGetsTypedReject)
+TEST(ResultCacheRobustness, UnreadableEntryIsAMissAndKept)
+{
+    // The entry path opens but cannot be read (it is a directory):
+    // that is a miss, not corruption, so nothing is deleted.
+    const std::string dir = scratchDir("unreadable");
+    fs::create_directories(fs::path(dir) / "aaaa.json");
+    ResultCache cache(dir);
+    EXPECT_FALSE(cache.lookup("aaaa").has_value());
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().invalidDiskEntries, 0u);
+    EXPECT_TRUE(fs::is_directory(fs::path(dir) / "aaaa.json"));
+}
+
+// --------------------------------------------------------------------
+// Live-socket safety: size cap, I/O deadline, accept failure, backlog.
+// --------------------------------------------------------------------
+
+TEST(ServeOverload, OversizeRequestGetsTypedReject)
 {
     ServeOptions opts;
     opts.socketPath = socketPath("oversize");
@@ -443,54 +209,146 @@ TEST_F(ServeOverload, OversizeRequestGetsTypedReject)
     daemon.stop();
 }
 
-TEST_F(ServeOverload, QueueWaitDeadlineSheds)
+TEST(ServeOverload, ClientThatNeverSendsEofTimesOut)
 {
-    // One dispatcher pinned on a 400 ms job and a 50 ms queue-wait
-    // deadline: a request that sat behind it must be shed with reason
-    // "deadline", never half-served.
-    FaultInjector::instance().configure("job.execute=sleep:400@1");
+    // The client writes half a request and never shuts down its write
+    // side. The only serving thread must give up at the read deadline,
+    // answer with a typed Timeout, and go on serving.
     ServeOptions opts;
-    opts.socketPath = socketPath("deadline");
-    opts.queueDepth = 8;
-    opts.dispatchThreads = 1;
-    opts.threads = 1;
-    opts.requestDeadlineMs = 50;
+    opts.socketPath = socketPath("no_eof");
+    opts.ioTimeoutMs = 100;
     ServeDaemon daemon(opts);
     daemon.start();
 
-    std::thread slow([&] {
-        serveRoundTrip(opts.socketPath, kmRunRequest("slow"));
-    });
-    // Let the slow job reach the dispatcher before queueing behind it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const std::string response =
-        serveRoundTrip(opts.socketPath, "{\"type\": \"ping\"}");
-    slow.join();
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s",
+                  opts.socketPath.c_str());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+    const std::string partial = "{\"type\": \"pi";
+    ASSERT_EQ(::write(fd, partial.data(), partial.size()),
+              static_cast<ssize_t>(partial.size()));
+    std::string response;
+    char buf[4096];
+    for (ssize_t n; (n = ::read(fd, buf, sizeof buf)) > 0;)
+        response.append(buf, static_cast<std::size_t>(n));
+    ::close(fd);
+
     const JsonValue doc = JsonValue::parse(response);
-    EXPECT_EQ(doc.at("type").asString(), "overloaded");
-    EXPECT_EQ(doc.at("reason").asString(), "deadline");
-    EXPECT_EQ(daemon.loadStats().shedDeadline, 1u);
+    EXPECT_EQ(doc.at("type").asString(), "error");
+    EXPECT_EQ(doc.at("kind").asString(), "Timeout");
+    EXPECT_EQ(daemon.loadStats().ioTimeouts, 1u);
+    EXPECT_EQ(responseType(serveRoundTrip(opts.socketPath,
+                                          "{\"type\": \"ping\"}")),
+              "pong");
     daemon.stop();
 }
 
-TEST_F(ServeOverload, StatsResponseCarriesRobustnessCounters)
+TEST(ServeOverload, AcceptBacksOffThroughFdExhaustion)
+{
+    // Lower this process's descriptor limit and use up every
+    // descriptor but one, which the client's socket then takes: the
+    // connection waits in the backlog while accept() fails with
+    // EMFILE. The daemon must back off (counted, not spun), then
+    // serve the waiting client once descriptors free up.
+    ServeOptions opts;
+    opts.socketPath = socketPath("emfile");
+    ServeDaemon daemon(opts);
+    daemon.start();
+
+    // The client thread starts before descriptors run out: thread
+    // start-up may need one (sanitizer runtimes open /proc files).
+    std::atomic<bool> go{false};
+    std::string response;
+    std::thread client([&] {
+        while (!go.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        response = serveRoundTrip(opts.socketPath, "{\"type\": \"ping\"}");
+    });
+
+    int highest = 0;
+    for (const auto& e : fs::directory_iterator("/proc/self/fd"))
+        highest = std::max(highest,
+                           std::stoi(e.path().filename().string()));
+    rlimit saved{};
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    rlimit low = saved;
+    low.rlim_cur = static_cast<rlim_t>(highest + 8);
+    const bool limited = ::setrlimit(RLIMIT_NOFILE, &low) == 0;
+    EXPECT_TRUE(limited);
+    std::vector<int> fillers;
+    for (int fd; limited && (fd = ::dup(STDERR_FILENO)) >= 0;)
+        fillers.push_back(fd);
+    if (!fillers.empty()) {
+        ::close(fillers.back()); // the client's socket
+        fillers.pop_back();
+    }
+    go.store(true);
+
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds(10);
+    while (daemon.loadStats().acceptBackoffs < 2 &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    for (const int fd : fillers)
+        ::close(fd);
+    if (limited)
+        ::setrlimit(RLIMIT_NOFILE, &saved);
+    client.join();
+
+    EXPECT_EQ(responseType(response), "pong");
+    EXPECT_GE(daemon.loadStats().acceptBackoffs, 2u);
+    daemon.stop();
+}
+
+TEST(ServeOverload, ConcurrentClientsWaitInTheBacklog)
+{
+    // One serving thread, four clients at once: the listen backlog
+    // queues them and every one gets its result.
+    ServeOptions opts;
+    opts.socketPath = socketPath("burst");
+    opts.threads = 1;
+    ServeDaemon daemon(opts);
+    daemon.start();
+
+    const std::string request = kmRunRequest("burst");
+    std::vector<std::string> responses(4);
+    std::vector<std::thread> clients;
+    for (std::string& response : responses)
+        clients.emplace_back([&] {
+            response = serveRoundTrip(opts.socketPath, request);
+        });
+    for (std::thread& t : clients)
+        t.join();
+    for (const std::string& response : responses)
+        EXPECT_EQ(responseType(response), "result");
+    EXPECT_EQ(daemon.simulationsRun(), 1u); // the rest hit the cache
+    EXPECT_EQ(daemon.loadStats().requestsServed, 4u);
+    daemon.stop();
+}
+
+TEST(ServeOverload, StatsResponseCarriesRobustnessCounters)
 {
     const std::string dir = scratchDir("stats_counters");
+    std::ofstream(fs::path(dir) / "aaaa.json.tmp.1") << "{";
     ServeOptions opts;
-    opts.socketPath = socketPath("stats");
     opts.cacheDir = dir;
-    opts.cacheMaxBytes = 1 << 20;
     ServeDaemon daemon(opts);
-    const std::string response =
-        daemon.handleRequest("{\"type\": \"stats\"}");
-    const JsonValue doc = JsonValue::parse(response);
+    const JsonValue doc =
+        JsonValue::parse(daemon.handleRequest("{\"type\": \"stats\"}"));
     const JsonValue& cache = doc.at("cache");
-    EXPECT_EQ(cache.at("diskMode").asString(), "readWrite");
-    EXPECT_EQ(cache.at("maxBytes").asUint64(), 1u << 20);
-    EXPECT_EQ(cache.at("evictions").asUint64(), 0u);
+    EXPECT_EQ(cache.at("scrubOrphanTmps").asUint64(), 1u);
+    for (const char* key : {"writeFailures", "fsyncFailures",
+                            "renameFailures", "invalidDiskEntries"})
+        EXPECT_EQ(cache.at(key).asUint64(), 0u) << key;
     const JsonValue& server = doc.at("server");
-    EXPECT_EQ(server.at("queueDepth").asUint64(), 16u);
-    EXPECT_EQ(server.at("shedQueueFull").asUint64(), 0u);
+    for (const char* key : {"requestsServed", "rejectedOversize",
+                            "ioTimeouts", "acceptBackoffs"})
+        EXPECT_EQ(server.at(key).asUint64(), 0u) << key;
 }
 
 } // namespace
